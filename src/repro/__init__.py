@@ -64,57 +64,35 @@ True
 
 __version__ = "1.0.0"
 
-from repro.core import (
-    AlignmentSolution,
-    ChannelSet,
-    DecodeStage,
-    PacketSpec,
-    SignalConfig,
-    decode_rate_level,
-    run_session,
-    solve_downlink_general,
-    solve_downlink_three_packets,
-    solve_uplink_four_packets,
-    solve_uplink_general,
-    solve_uplink_three_packets,
-)
-from repro.experiments import (
-    ExperimentResult,
-    ExperimentRunner,
-    Scenario,
-    SweepResult,
-    TrialRecord,
-    get_scenario,
-    list_scenarios,
-    register_scenario,
-    run_experiment,
-    run_sweep,
-)
-from repro.phy.packet import Packet
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "AlignmentSolution",
-    "ChannelSet",
-    "DecodeStage",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "Packet",
-    "PacketSpec",
-    "Scenario",
-    "SignalConfig",
-    "SweepResult",
-    "TrialRecord",
-    "__version__",
-    "decode_rate_level",
-    "get_scenario",
-    "list_scenarios",
-    "register_scenario",
-    "run_experiment",
-    "run_session",
-    "run_sweep",
-    "solve_downlink_general",
-    "solve_downlink_three_packets",
-    "solve_uplink_four_packets",
-    "solve_uplink_general",
-    "solve_uplink_three_packets",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "core": (
+        "AlignmentSolution",
+        "ChannelSet",
+        "DecodeStage",
+        "PacketSpec",
+        "SignalConfig",
+        "decode_rate_level",
+        "run_session",
+        "solve_downlink_general",
+        "solve_downlink_three_packets",
+        "solve_uplink_four_packets",
+        "solve_uplink_general",
+        "solve_uplink_three_packets",
+    ),
+    "experiments": (
+        "ExperimentResult",
+        "ExperimentRunner",
+        "Scenario",
+        "SweepResult",
+        "TrialRecord",
+        "get_scenario",
+        "list_scenarios",
+        "register_scenario",
+        "run_experiment",
+        "run_sweep",
+    ),
+    "phy.packet": ("Packet",),
+})
+__all__ += ["__version__"]

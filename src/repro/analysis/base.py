@@ -94,8 +94,8 @@ class LintConfig:
     )
     #: Files allowed to ``print`` / use bare ``except`` (the CLI surface).
     print_allowed: Tuple[str, ...] = ("repro/cli.py",)
-    #: Package whose ``@register_scenario`` modules must be reachable
-    #: from its ``__init__``.
+    #: Package whose ``@register_scenario`` calls must match the
+    #: ``SCENARIO_MODULES`` table of its ``registry`` module.
     experiments_package: str = "repro/experiments"
     #: Suffix naming the slow bit-exact twin of a fast engine.
     reference_suffix: str = "_reference"

@@ -9,9 +9,11 @@ file set (:class:`~repro.analysis.base.ProjectRule`):
   never named in a test is an equivalence check that silently stopped
   existing.
 * **scenario-registration** — ``@register_scenario`` only registers a
-  scenario when its module is imported; a module not reachable from
-  ``repro/experiments/__init__.py`` ships scenarios the CLI can never
-  see.
+  scenario when its module is imported, and ``get_scenario`` imports the
+  module that ``SCENARIO_MODULES`` in ``repro/experiments/registry.py``
+  names for it.  A registration the table does not list is a scenario
+  the CLI can never see; a table entry whose module does not register
+  its name is a lookup that always fails.
 
 One advisory file rule rides along: **no-python-slot-loop**, scoped to
 the columnar modules, where a per-slot Python loop is the exact cost the
@@ -123,86 +125,94 @@ def _is_slot_range(node: ast.AST) -> bool:
     return any("slot" in ast.unparse(arg).lower() for arg in node.args)
 
 
-def _uses_register_scenario(tree: ast.Module) -> Optional[ast.AST]:
-    """The first ``@register_scenario`` decorator usage, if any."""
+#: The registry's scenario-name -> module table.
+_TABLE = "SCENARIO_MODULES"
+
+
+def _registrations(tree: ast.Module) -> Iterator[Tuple[Optional[str], ast.AST]]:
+    """``(name, decorator)`` of each ``@register_scenario`` usage; the name
+    is ``None`` unless it is a string literal (the first argument)."""
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         for decorator in node.decorator_list:
-            target = (
-                decorator.func if isinstance(decorator, ast.Call) else decorator
-            )
-            name = dotted_name(target)
-            if name is not None and name.split(".")[-1] == "register_scenario":
-                return decorator
+            call = decorator if isinstance(decorator, ast.Call) else None
+            name = dotted_name(decorator.func if call else decorator)
+            if name is None or name.split(".")[-1] != "register_scenario":
+                continue
+            first = call.args[0] if call and call.args else None
+            literal = isinstance(first, ast.Constant) and isinstance(first.value, str)
+            yield (first.value if literal else None), decorator
+
+
+def _scenario_table(tree: ast.Module) -> Optional[Dict[str, Tuple[str, ast.AST]]]:
+    """``name -> (module, key node)`` of the registry's ``SCENARIO_MODULES``
+    dict literal (bare or wrapped in one call), or ``None`` without one."""
+    for node in tree.body:
+        target = node.targets[0] if isinstance(node, ast.Assign) else getattr(node, "target", None)
+        if not (isinstance(target, ast.Name) and target.id == _TABLE):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and len(value.args) == 1:
+            value = value.args[0]
+        if not isinstance(value, ast.Dict):
+            return None
+        return {
+            key.value: (module.value, key)
+            for key, module in zip(value.keys, value.values)
+            if isinstance(key, ast.Constant) and isinstance(module, ast.Constant)
+        }
     return None
-
-
-def _imported_submodules(init_tree: ast.Module, package: str) -> Set[str]:
-    """Module stems the package ``__init__`` imports (registration reach)."""
-    dotted_pkg = package.replace("/", ".")
-    stems: Set[str] = set()
-    for node in ast.walk(init_tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith(dotted_pkg + "."):
-                    stems.add(alias.name[len(dotted_pkg) + 1 :].split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level > 0:
-                # Relative import inside the package __init__.
-                stems.update(alias.name for alias in node.names)
-                if module:
-                    stems.add(module.split(".")[0])
-            elif module == dotted_pkg:
-                stems.update(alias.name for alias in node.names)
-            elif module.startswith(dotted_pkg + "."):
-                stems.add(module[len(dotted_pkg) + 1 :].split(".")[0])
-    return stems
 
 
 @register_rule
 class ScenarioRegistration(ProjectRule):
-    """Every ``@register_scenario`` module is reachable from the registry."""
+    """``SCENARIO_MODULES`` and the ``@register_scenario`` calls agree."""
 
     rule_id = "scenario-registration"
     summary = (
-        "every module using @register_scenario must be imported from "
-        "repro/experiments/__init__.py, or its scenarios never register"
+        "every @register_scenario name in repro/experiments must be listed "
+        "in the registry's SCENARIO_MODULES table under its module, and "
+        "every table entry's module must register that name"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         package = project.config.experiments_package
-        init_path = posixpath.join(package, "__init__.py")
-        by_path: Dict[str, FileContext] = {
-            ctx.rel_path: ctx for ctx in project.files
-        }
-        init_ctx = by_path.get(init_path)
-        imported = (
-            _imported_submodules(init_ctx.tree, package)
-            if init_ctx is not None
-            else set()
-        )
+        registry_path = posixpath.join(package, "registry.py")
+        registry = next((c for c in project.files if c.rel_path == registry_path), None)
+        table = _scenario_table(registry.tree) if registry is not None else None
+        registered: Set[Tuple[str, str]] = set()
         for ctx in project.files:
             directory, filename = posixpath.split(ctx.rel_path)
-            if directory != package or filename == "__init__.py":
+            if directory != package:
                 continue
-            usage = _uses_register_scenario(ctx.tree)
-            if usage is None:
-                continue
-            stem = filename[: -len(".py")]
-            if init_ctx is None:
-                yield ctx.finding(
-                    self.rule_id,
-                    usage,
-                    f"{package}/__init__.py is missing, so the scenarios "
-                    f"registered in {stem} are unreachable",
-                )
-            elif stem not in imported:
-                yield ctx.finding(
-                    self.rule_id,
-                    usage,
-                    f"module {stem} registers scenarios but is not imported "
-                    f"from {init_path}; they will never appear in the "
-                    "registry or the CLI",
+            module = ctx.rel_path[: -len(".py")].replace("/", ".")
+            for name, usage in _registrations(ctx.tree):
+                if name is None:
+                    yield ctx.finding(
+                        self.rule_id, usage,
+                        f"register_scenario in {module} needs a string-literal "
+                        f"name, or {_TABLE} cannot list it",
+                    )
+                    continue
+                registered.add((name, module))
+                if table is None:
+                    yield ctx.finding(
+                        self.rule_id, usage,
+                        f"{registry_path} defines no {_TABLE} table, so "
+                        f"get_scenario({name!r}) never imports {module}",
+                    )
+                elif table.get(name, (None,))[0] != module:
+                    yield ctx.finding(
+                        self.rule_id, usage,
+                        f"scenario {name!r} is registered in {module} but "
+                        f"{_TABLE} does not map it there; get_scenario and "
+                        "the CLI will not find it",
+                    )
+        for name, (module, key) in sorted((table or {}).items()):
+            if (name, module) not in registered:
+                yield registry.finding(
+                    self.rule_id, key,
+                    f"{_TABLE} maps {name!r} to {module}, which does not "
+                    "register it; get_scenario will fail",
                 )

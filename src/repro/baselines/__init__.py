@@ -1,19 +1,8 @@
 """Baselines the paper compares IAC against."""
 
-from repro.baselines.dot11_mimo import (
-    Dot11Link,
-    best_ap_link,
-    per_client_rates,
-    round_robin_rate,
-)
-from repro.baselines.tdma import TDMAComparison, alternate, compare_schemes
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Dot11Link",
-    "TDMAComparison",
-    "alternate",
-    "best_ap_link",
-    "compare_schemes",
-    "per_client_rates",
-    "round_robin_rate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "dot11_mimo": ("Dot11Link", "best_ap_link", "per_client_rates", "round_robin_rate"),
+    "tdma": ("TDMAComparison", "alternate", "compare_schemes"),
+})

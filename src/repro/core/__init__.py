@@ -13,56 +13,18 @@
 * :mod:`~repro.core.dof` -- multiplexing-gain lemmas and feasibility counts.
 """
 
-from repro.core.alignment import (
-    solve_downlink_three_packets,
-    solve_downlink_two_clients,
-    solve_uplink_four_packets,
-    solve_uplink_three_packets,
-)
-from repro.core.decoder import DecodeReport, PacketResult, decode_rate_level
-from repro.core.dof import (
-    downlink_aps_needed,
-    downlink_max_packets,
-    uplink_aps_needed,
-    uplink_max_packets,
-)
-from repro.core.general import (
-    GeneralAlignmentProblem,
-    SubspaceConstraint,
-    solve_downlink_general,
-    solve_uplink_general,
-)
-from repro.core.plans import (
-    AlignmentSolution,
-    BandedChannelSet,
-    ChannelSet,
-    DecodeStage,
-    PacketSpec,
-)
-from repro.core.session import SessionReport, SignalConfig, run_session
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "AlignmentSolution",
-    "BandedChannelSet",
-    "ChannelSet",
-    "DecodeReport",
-    "DecodeStage",
-    "GeneralAlignmentProblem",
-    "PacketResult",
-    "PacketSpec",
-    "SessionReport",
-    "SignalConfig",
-    "SubspaceConstraint",
-    "decode_rate_level",
-    "downlink_aps_needed",
-    "downlink_max_packets",
-    "run_session",
-    "solve_downlink_general",
-    "solve_downlink_three_packets",
-    "solve_downlink_two_clients",
-    "solve_uplink_four_packets",
-    "solve_uplink_general",
-    "solve_uplink_three_packets",
-    "uplink_aps_needed",
-    "uplink_max_packets",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "alignment": (
+        "solve_downlink_three_packets",
+        "solve_downlink_two_clients",
+        "solve_uplink_four_packets",
+        "solve_uplink_three_packets",
+    ),
+    "decoder": ("DecodeReport", "PacketResult", "decode_rate_level"),
+    "dof": ("downlink_aps_needed", "downlink_max_packets", "uplink_aps_needed", "uplink_max_packets"),
+    "general": ("GeneralAlignmentProblem", "SubspaceConstraint", "solve_downlink_general", "solve_uplink_general"),
+    "plans": ("AlignmentSolution", "BandedChannelSet", "ChannelSet", "DecodeStage", "PacketSpec"),
+    "session": ("SessionReport", "SignalConfig", "run_session"),
+})

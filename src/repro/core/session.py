@@ -112,17 +112,19 @@ class SignalConfig:
             return None
         fec = _FEC_CACHE.get(self.fec)
         if fec is None:
-            if self.fec == "conv":
-                fec = ConvolutionalCode()
-            elif self.fec == "hamming":
-                fec = Hamming74()
-            else:
+            if self.fec not in FEC_CODES:
                 raise ValueError(
-                    f"unknown fec {self.fec!r}; use None, 'conv' or 'hamming'"
+                    f"unknown fec {self.fec!r}; use None or one of {', '.join(FEC_CODES)}"
                 )
-            _FEC_CACHE[self.fec] = fec
+            fec = _FEC_CACHE[self.fec] = FEC_CODES[self.fec]()
         return fec
 
+
+#: Every :attr:`SignalConfig.fec` name besides ``None``, with its code.
+FEC_CODES: Dict[str, type] = {"conv": ConvolutionalCode, "hamming": Hamming74}
+
+#: Every value :attr:`SignalConfig.engine` accepts.
+SIGNAL_ENGINES = ("fast", "reference")
 
 #: fec name -> shared stateless code instance (see SignalConfig.make_fec).
 _FEC_CACHE: Dict[str, object] = {}
@@ -405,9 +407,9 @@ def run_session(
         Seed or generator for noise/CFO/offset draws.
     """
     rng = default_rng(rng)
-    if config.engine not in ("fast", "reference"):
+    if config.engine not in SIGNAL_ENGINES:
         raise ValueError(
-            f"unknown engine {config.engine!r}; use 'fast' or 'reference'"
+            f"unknown engine {config.engine!r}; use one of {', '.join(SIGNAL_ENGINES)}"
         )
     modulator = config.modulator()
     fec = config.make_fec()

@@ -35,25 +35,17 @@ antennas.  :mod:`repro.engine.bench` checks and times both WLAN engines
 (``python -m repro bench``, written to ``BENCH.json``).
 """
 
-from repro.engine.batched import (
-    downlink_sinrs_band,
-    downlink_sinrs_batch,
-    downlink_transmit_sinrs_band,
-    downlink_transmit_sinrs_cached,
-    solve_downlink_three_band,
-    solve_downlink_three_batch,
-    stack_downlink_channels_band,
-)
-from repro.engine.evaluator import ALIGNMENT_MODES, BatchedGroupEvaluator
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ALIGNMENT_MODES",
-    "BatchedGroupEvaluator",
-    "downlink_sinrs_band",
-    "downlink_sinrs_batch",
-    "downlink_transmit_sinrs_band",
-    "downlink_transmit_sinrs_cached",
-    "solve_downlink_three_band",
-    "solve_downlink_three_batch",
-    "stack_downlink_channels_band",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "batched": (
+        "downlink_sinrs_band",
+        "downlink_sinrs_batch",
+        "downlink_transmit_sinrs_band",
+        "downlink_transmit_sinrs_cached",
+        "solve_downlink_three_band",
+        "solve_downlink_three_batch",
+        "stack_downlink_channels_band",
+    ),
+    "evaluator": ("ALIGNMENT_MODES", "BatchedGroupEvaluator"),
+})

@@ -5,7 +5,8 @@ declarative surface:
 
 * :mod:`repro.experiments.registry` — the :class:`Scenario` dataclass,
   its typed paper :class:`Claim` records, the ``@register_scenario``
-  decorator and registry queries;
+  decorator, the table naming the module of each built-in scenario
+  (imported on first lookup) and registry queries;
 * :mod:`repro.experiments.ledger` — evaluates every claim, running each
   distinct run once (``python -m repro check``);
 * :mod:`repro.experiments.runner` — :class:`ExperimentRunner` and the
@@ -51,62 +52,23 @@ Quickstart::
     >>> text = result.to_json()  # archive / diff / plot offline
 """
 
-from repro.experiments.registry import (
-    Claim,
-    Scenario,
-    TrialContext,
-    get_scenario,
-    list_scenarios,
-    register_scenario,
-    scenario_names,
-    scenarios_by_tag,
-    unregister_scenario,
-)
-from repro.experiments.results import ExperimentResult, TrialRecord
-from repro.experiments.runner import ExperimentRunner, run_experiment
-from repro.experiments.store import CorruptStore, ResultStore, StoreSchemaTooNew
-from repro.experiments.sweep import (
-    QuarantinedCell,
-    SweepCache,
-    SweepCell,
-    SweepResult,
-    grid_cells,
-    run_sweep,
-)
+from repro.utils.lazy import lazy_exports
 
-# Importing the scenario definitions populates the registry.
-from repro.experiments import scenarios as _scenarios  # noqa: F401
-from repro.experiments import signal_scenarios as _signal_scenarios  # noqa: F401
-from repro.experiments import dynamic_scenarios as _dynamic_scenarios  # noqa: F401
-from repro.experiments import ofdm_scenarios as _ofdm_scenarios  # noqa: F401
-from repro.experiments import multicell_scenarios as _multicell_scenarios  # noqa: F401
-from repro.experiments import fault_scenarios as _fault_scenarios  # noqa: F401
-from repro.experiments import protocol_scenarios as _protocol_scenarios  # noqa: F401
-from repro.experiments.scenarios import gain_cdf_from_record, scatter_result
-
-__all__ = [
-    "Claim",
-    "CorruptStore",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "QuarantinedCell",
-    "ResultStore",
-    "Scenario",
-    "StoreSchemaTooNew",
-    "SweepCache",
-    "SweepCell",
-    "SweepResult",
-    "TrialContext",
-    "TrialRecord",
-    "gain_cdf_from_record",
-    "get_scenario",
-    "grid_cells",
-    "list_scenarios",
-    "register_scenario",
-    "run_experiment",
-    "run_sweep",
-    "scatter_result",
-    "scenario_names",
-    "scenarios_by_tag",
-    "unregister_scenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "registry": (
+        "Claim",
+        "Scenario",
+        "TrialContext",
+        "get_scenario",
+        "list_scenarios",
+        "register_scenario",
+        "scenario_names",
+        "scenarios_by_tag",
+        "unregister_scenario",
+    ),
+    "results": ("ExperimentResult", "TrialRecord"),
+    "runner": ("ExperimentRunner", "run_experiment"),
+    "store": ("CorruptStore", "ResultStore", "StoreSchemaTooNew"),
+    "sweep": ("QuarantinedCell", "SweepCache", "SweepCell", "SweepResult", "grid_cells", "run_sweep"),
+    "scenarios": ("gain_cdf_from_record", "scatter_result"),
+})

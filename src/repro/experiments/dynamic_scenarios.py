@@ -36,7 +36,7 @@ from repro.baselines.dot11_mimo import per_client_rates
 from repro.core.plans import ChannelSet
 from repro.experiments.registry import Claim, TrialContext, over, register_scenario
 from repro.experiments.results import ExperimentResult
-from repro.sim.wlan import WLANConfig, WLANSimulation, WLANStats
+from repro.sim.wlan import WLAN_CHOICES, WLANConfig, WLANSimulation, WLANStats
 from repro.utils.knobs import field_knobs
 
 #: Downlink groups carry up to three packets per slot (Lemma 5.2, M=2).
@@ -286,6 +286,7 @@ def _format_fig15_dynamic(result: ExperimentResult, quiet: bool = False) -> str:
     tags=("wlan", "dynamic", "mac", "concurrency"),
     formatter=_format_fig15_dynamic,
     canonicalize=canonical_dynamic_params,
+    choices=WLAN_CHOICES,
 )
 def fig15_dynamic_trial(ctx: TrialContext) -> Dict[str, float]:
     """One dynamic-workload run of the Fig.-15 WLAN deployment.
@@ -358,6 +359,7 @@ def _format_load_latency(result: ExperimentResult, quiet: bool = False) -> str:
     tags=("wlan", "dynamic", "traffic"),
     formatter=_format_load_latency,
     canonicalize=canonical_dynamic_params,
+    choices=WLAN_CHOICES,
 )
 def load_latency_trial(ctx: TrialContext) -> Dict[str, float]:
     """One finite-load run: arrivals at ``load`` x the 3-packet capacity.
@@ -417,6 +419,7 @@ def _format_churn(result: ExperimentResult, quiet: bool = False) -> str:
     tags=("wlan", "dynamic", "churn"),
     formatter=_format_churn,
     canonicalize=canonical_dynamic_params,
+    choices=WLAN_CHOICES,
 )
 def churn_throughput_trial(ctx: TrialContext) -> Dict[str, float]:
     """One churning saturated run: leaves purge backlog, joins re-sound.

@@ -34,7 +34,7 @@ from repro.experiments.multicell_scenarios import (
 from repro.experiments.registry import TrialContext, register_scenario
 from repro.experiments.results import ExperimentResult
 from repro.sim.multicell import MultiCellSimulation
-from repro.sim.wlan import WLANConfig, WLANSimulation
+from repro.sim.wlan import WLAN_CHOICES, WLANConfig, WLANSimulation
 from repro.utils.knobs import field_knobs
 
 #: FaultPlan knobs both scenarios expose as flat scenario parameters.
@@ -122,6 +122,7 @@ def _format_resilience(result: ExperimentResult, quiet: bool = False) -> str:
     tags=("wlan", "multicell", "faults"),
     formatter=_format_resilience,
     canonicalize=canonical_resilience_params,
+    choices=WLAN_CHOICES,
 )
 def fault_resilience_trial(ctx: TrialContext) -> Dict[str, float]:
     """One faulted city run; the fault plan applies to every cell.
@@ -207,6 +208,7 @@ def _format_loss(result: ExperimentResult, quiet: bool = False) -> str:
     tags=("wlan", "faults"),
     formatter=_format_loss,
     canonicalize=canonical_loss_params,
+    choices=WLAN_CHOICES,
 )
 def backplane_loss_trial(ctx: TrialContext) -> Dict[str, float]:
     """Three same-seed runs: no-fault ceiling, p2p floor, faulted system.

@@ -24,6 +24,7 @@ from typing import Any, Dict, Mapping
 from repro.experiments.registry import TrialContext, register_scenario
 from repro.experiments.results import ExperimentResult
 from repro.sim.multicell import MultiCellConfig, MultiCellSimulation
+from repro.sim.wlan import WLAN_CHOICES
 from repro.utils.knobs import field_knobs
 
 
@@ -106,6 +107,7 @@ def _format_city(result: ExperimentResult, quiet: bool = False) -> str:
     tags=("wlan", "multicell", "scale"),
     formatter=_format_city,
     canonicalize=canonical_city_params,
+    choices=WLAN_CHOICES,
 )
 def city_scale_trial(ctx: TrialContext) -> Dict[str, float]:
     """One city run: every cell simulated ``n_slots`` slots, merged stats.

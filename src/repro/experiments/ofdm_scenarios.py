@@ -48,7 +48,7 @@ from repro.experiments.dynamic_scenarios import (
 from repro.experiments.registry import Claim, TrialContext, over, register_scenario
 from repro.experiments.results import ExperimentResult
 from repro.phy.channel.selective import MultiTapChannel, exponential_pdp
-from repro.sim.wlan import WLANSimulation
+from repro.sim.wlan import WLAN_CHOICES, WLANSimulation
 
 
 # --------------------------------------------------------------------- #
@@ -226,6 +226,7 @@ def _format_fig_ofdm_dynamic(result: ExperimentResult, quiet: bool = False) -> s
     tags=("wlan", "wideband", "ofdm", "dynamic", "concurrency"),
     formatter=_format_fig_ofdm_dynamic,
     canonicalize=canonical_dynamic_params,
+    choices=WLAN_CHOICES,
 )
 def fig_ofdm_dynamic_trial(ctx: TrialContext) -> Dict[str, float]:
     """One wideband Fig.-15 run: per-bin IAC against the band baseline.

@@ -123,6 +123,7 @@ def _lemma_claims(direction: str, m: int, seed: int):
     default_trials=1,
     tags=("analytic", "dof"),
     formatter=_format_lemmas,
+    choices={"direction": _LEMMAS},
 )
 def lemmas_trial(ctx: TrialContext) -> Dict[str, float]:
     """One alignment construction for ``m`` antennas, checked three ways.
@@ -132,8 +133,6 @@ def lemmas_trial(ctx: TrialContext) -> Dict[str, float]:
     ledger's claims name the exact constructions they check.
     """
     direction, m = ctx.params["direction"], ctx.params["m"]
-    if direction not in _LEMMAS:
-        raise ValueError(f"direction must be uplink or downlink, got {direction!r}")
     solution, chans = _lemma_solution(
         direction, m, np.random.default_rng(ctx.seed + ctx.index)
     )

@@ -10,6 +10,10 @@ parameters / trial count, and the paper's numbers as typed
 the claims ledger (:mod:`repro.experiments.ledger`, ``repro check``)
 all discover them through :func:`get_scenario` / :func:`list_scenarios`
 instead of hand-wired dispatch tables.
+
+A built-in scenario's module is imported on demand: :data:`SCENARIO_MODULES`
+names the module that registers each one, so :func:`get_scenario` loads
+only the module it needs, while the listing queries load them all.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.sim.testbed import Testbed
-from repro.utils.knobs import check_knob
+from repro.utils.knobs import check_choice, check_knob
 
 #: A trial returns a flat mapping of metric name -> value.
 Metrics = Mapping[str, float]
@@ -155,8 +159,10 @@ class Scenario:
     ``default_params`` is also the scenario's parameter schema: each knob
     has its default's type (``int``, ``float``, ``bool`` or ``str``), and
     ``optional`` names the knobs that also take ``None``, with the type
-    of their other values.  :meth:`resolve` checks every override
-    against it once, so a bad value fails naming its knob.
+    of their other values.  ``choices`` gives a knob with a fixed
+    vocabulary the name list of the library code that reads it.
+    :meth:`resolve` checks every override against them once, so a bad
+    value fails naming its knob.
     """
 
     name: str
@@ -175,6 +181,8 @@ class Scenario:
     claims: Tuple[Claim, ...] = ()
     #: Knobs that also take ``None``: name -> the type of their other values.
     optional: Mapping[str, type] = field(default_factory=dict)
+    #: Knobs with a fixed vocabulary: name -> every value they take.
+    choices: Mapping[str, Collection[str]] = field(default_factory=dict)
 
     @property
     def paper(self) -> str:
@@ -193,16 +201,19 @@ class Scenario:
     def resolve(self, overrides: Mapping[str, Any]) -> Mapping[str, Any]:
         """The parameter map a trial reads: ``default_params`` with
         ``overrides`` merged in, each override checked against its knob's
-        type by :func:`~repro.utils.knobs.check_knob` (a bad value raises
+        type by :func:`~repro.utils.knobs.check_knob` and, for a knob in
+        ``choices``, against its vocabulary by
+        :func:`~repro.utils.knobs.check_choice` (a bad value raises
         ``ValueError`` naming the knob; ``n_slots=40.0`` becomes ``40``).
 
         Unknown keys fail first, all named.  A trial reads its
         ``default_params`` keys, plus each execution knob (``engine``)
         that its canonicalizer strips from the sweep identity: stripping
         a knob declares that the trial takes it but computes the same
-        numbers either way.  Such a knob passes unchecked, for the config
-        that reads it to check by name.  Any other key would be silently
-        ignored while still entering a sweep cell's identity.
+        numbers either way.  Such a knob has no default to take a type
+        from; only its ``choices`` entry checks it here.  Any other key
+        would be silently ignored while still entering a sweep cell's
+        identity.
         """
         unknown = sorted(
             k for k in overrides
@@ -217,15 +228,41 @@ class Scenario:
             )
         resolved = dict(self.default_params)
         for name, value in overrides.items():
+            optional = name in self.optional
             if name in self.default_params:
-                value = check_knob(
-                    name, value, self.knob_type(name), name in self.optional
-                )
+                value = check_knob(name, value, self.knob_type(name), optional)
+            if name in self.choices and not (value is None and optional):
+                value = check_choice(name, value, self.choices[name])
             resolved[name] = value
         return MappingProxyType(resolved)
 
 
 _REGISTRY: Dict[str, Scenario] = {}
+
+#: Built-in scenario name -> the module whose import registers it.  The
+#: ``scenario-registration`` lint rule keeps this table and the modules'
+#: ``@register_scenario`` calls in step, both ways.
+SCENARIO_MODULES: Mapping[str, str] = MappingProxyType({
+    "backplane_loss_sweep": "repro.experiments.fault_scenarios",
+    "churn_throughput": "repro.experiments.dynamic_scenarios",
+    "city_scale": "repro.experiments.multicell_scenarios",
+    "fault_resilience": "repro.experiments.fault_scenarios",
+    "fig12": "repro.experiments.scenarios",
+    "fig12_signal": "repro.experiments.signal_scenarios",
+    "fig13a": "repro.experiments.scenarios",
+    "fig13b": "repro.experiments.scenarios",
+    "fig13b_signal": "repro.experiments.signal_scenarios",
+    "fig14": "repro.experiments.scenarios",
+    "fig15": "repro.experiments.scenarios",
+    "fig15_dynamic": "repro.experiments.dynamic_scenarios",
+    "fig16": "repro.experiments.scenarios",
+    "fig17": "repro.experiments.scenarios",
+    "fig_ofdm_dynamic": "repro.experiments.ofdm_scenarios",
+    "lemmas": "repro.experiments.protocol_scenarios",
+    "load_latency": "repro.experiments.dynamic_scenarios",
+    "ofdm_subcarrier": "repro.experiments.ofdm_scenarios",
+    "overhead": "repro.experiments.protocol_scenarios",
+})
 
 
 def register_scenario(
@@ -240,6 +277,7 @@ def register_scenario(
     formatter: Optional[Formatter] = None,
     canonicalize: Optional[Canonicalizer] = None,
     optional: Optional[Mapping[str, type]] = None,
+    choices: Optional[Mapping[str, Collection[str]]] = None,
 ) -> Callable[[Callable[[TrialContext], Metrics]], Callable[[TrialContext], Metrics]]:
     """Decorator: register the decorated trial callable as ``name``.
 
@@ -262,6 +300,7 @@ def register_scenario(
             canonicalize=canonicalize,
             claims=tuple(claims),
             optional=MappingProxyType(dict(optional or {})),
+            choices=MappingProxyType(dict(choices or {})),
         )
         return trial
 
@@ -273,22 +312,33 @@ def unregister_scenario(name: str) -> None:
     _REGISTRY.pop(name, None)
 
 
+def _load_all() -> Dict[str, Scenario]:
+    """The registry with every built-in scenario's module imported."""
+    for module in sorted(set(SCENARIO_MODULES.values())):
+        __import__(module)
+    return _REGISTRY
+
+
 def get_scenario(name: str) -> Scenario:
-    """Look up a scenario by name; ``KeyError`` lists what exists."""
+    """Look up a scenario by name, importing only the module that
+    registers it; ``KeyError`` lists what exists."""
+    if name not in _REGISTRY and name in SCENARIO_MODULES:
+        __import__(SCENARIO_MODULES[name])
     try:
         return _REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
+        known = ", ".join(sorted(_load_all())) or "<none>"
         raise KeyError(f"unknown scenario {name!r}; registered: {known}") from None
 
 
 def list_scenarios() -> List[Scenario]:
     """All registered scenarios, sorted by name."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+    registry = _load_all()
+    return [registry[name] for name in sorted(registry)]
 
 
 def scenario_names() -> List[str]:
-    return sorted(_REGISTRY)
+    return sorted(_load_all())
 
 
 def scenarios_by_tag(tag: str) -> List[Scenario]:

@@ -39,8 +39,10 @@ from repro.experiments.registry import (
     under,
 )
 from repro.experiments.results import ExperimentResult, TrialRecord
+from repro.mac.concurrency import SELECTORS
 from repro.sim.clustered import ClusteredConfig, ClusteredNetwork
 from repro.sim.experiment import (
+    DIRECTIONS,
     diversity_trial,
     downlink_3x3_trial,
     large_network_experiment,
@@ -266,6 +268,7 @@ _RATE_LEVEL = "on the rate-level model (exact CSI, no decode loss); the prototyp
     default_trials=1,
     tags=("mac", "concurrency", "large-network"),
     formatter=_format_fig15,
+    choices={"algorithm": SELECTORS, "direction": DIRECTIONS},
 )
 def fig15_trial(ctx: TrialContext) -> Dict[str, float]:
     """Fig. 15: one backlogged-network run of a concurrency algorithm.

@@ -45,6 +45,7 @@ from repro.core import (
     solve_downlink_three_packets,
     solve_uplink_three_packets,
 )
+from repro.core.session import FEC_CODES, SIGNAL_ENGINES
 from repro.experiments.registry import (
     Claim,
     TrialContext,
@@ -68,6 +69,10 @@ _SIGNAL_DEFAULTS = {
     "max_timing_offset": 16,
     "engine": "fast",
 }
+
+#: The signal knobs with a fixed vocabulary (modulation names are open:
+#: ``ofdm-<inner>`` nests any scheme).
+_SIGNAL_CHOICES = {"fec": FEC_CODES, "engine": SIGNAL_ENGINES}
 
 #: The signal-vs-rate agreement run: 150-byte QPSK payloads, no CFO or
 #: timing offsets, so the two paths differ only by decoding.
@@ -120,6 +125,7 @@ def _signal_metrics(report, dot11: float) -> Dict[str, float]:
     ),
     default_params={"n_clients": 2, "n_aps": 2, **_SIGNAL_DEFAULTS},
     optional={"fec": str},  # fec=null sends the payload uncoded
+    choices=_SIGNAL_CHOICES,
     default_trials=25,
     tags=("scatter", "uplink", "signal"),
     formatter=_format_scatter,
@@ -166,6 +172,7 @@ def fig12_signal_trial(ctx: TrialContext) -> Dict[str, float]:
     "(the rate level's 1.4x minus implementation loss)",
     default_params={"n_clients": 3, "n_aps": 3, **_SIGNAL_DEFAULTS},
     optional={"fec": str},
+    choices=_SIGNAL_CHOICES,
     default_trials=25,
     tags=("scatter", "downlink", "signal"),
     formatter=_format_scatter,

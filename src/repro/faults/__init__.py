@@ -24,7 +24,9 @@ point-to-point service instead of crashes; see docs/ARCHITECTURE.md
 ``faults`` case of ``repro bench``.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.utils.lazy import lazy_exports
 
-__all__ = ["FaultInjector", "FaultPlan"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "injector": ("FaultInjector",),
+    "plan": ("FaultPlan",),
+})

@@ -1,54 +1,13 @@
 """MAC layer: PCF extension, frames, queues and concurrency algorithms."""
 
-from repro.mac.association import (
-    AssociationTable,
-    ChannelUpdate,
-    LeaderAP,
-    SubordinateAP,
-    elect_leader,
-)
-from repro.mac.concurrency import (
-    BestOfTwo,
-    BruteForce,
-    ConcurrencySelector,
-    FifoGrouping,
-    make_selector,
-    score_groups,
-)
-from repro.mac.frames import (
-    Ack,
-    Beacon,
-    CFEnd,
-    DataPollMetadata,
-    Grant,
-    GroupEntry,
-    make_group_entries,
-)
-from repro.mac.pcf import PCFConfig, PCFCoordinator, PCFStats
-from repro.mac.queueing import QueuedPacket, TransmissionQueue
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Ack",
-    "AssociationTable",
-    "Beacon",
-    "BestOfTwo",
-    "BruteForce",
-    "CFEnd",
-    "ChannelUpdate",
-    "ConcurrencySelector",
-    "DataPollMetadata",
-    "FifoGrouping",
-    "Grant",
-    "GroupEntry",
-    "LeaderAP",
-    "PCFConfig",
-    "PCFCoordinator",
-    "PCFStats",
-    "QueuedPacket",
-    "SubordinateAP",
-    "TransmissionQueue",
-    "elect_leader",
-    "make_group_entries",
-    "make_selector",
-    "score_groups",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "association": ("AssociationTable", "ChannelUpdate", "LeaderAP", "SubordinateAP", "elect_leader"),
+    "concurrency": (
+        "BestOfTwo", "BruteForce", "ConcurrencySelector", "FifoGrouping", "make_selector", "score_groups",
+    ),
+    "frames": ("Ack", "Beacon", "CFEnd", "DataPollMetadata", "Grant", "GroupEntry", "make_group_entries"),
+    "pcf": ("PCFConfig", "PCFCoordinator", "PCFStats"),
+    "queueing": ("QueuedPacket", "TransmissionQueue"),
+})

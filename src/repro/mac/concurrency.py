@@ -236,15 +236,26 @@ class BestOfTwo(ConcurrencySelector):
         return best_group
 
 
+#: Every ``algorithm`` name :func:`make_selector` accepts, aliases included.
+SELECTORS: Dict[str, type] = {
+    "fifo": FifoGrouping,
+    "brute": BruteForce,
+    "brute-force": BruteForce,
+    "bruteforce": BruteForce,
+    "best2": BestOfTwo,
+    "best-of-two": BestOfTwo,
+    "bestoftwo": BestOfTwo,
+}
+
+
 def make_selector(name: str, group_size: int = 3, rng=None) -> ConcurrencySelector:
-    """Factory used by experiments: ``"fifo"``, ``"brute"`` or ``"best2"``."""
-    key = name.lower()
-    if key in ("fifo",):
-        return FifoGrouping(group_size=group_size)
-    if key in ("brute", "brute-force", "bruteforce"):
-        return BruteForce(group_size=group_size)
-    if key in ("best2", "best-of-two", "bestoftwo"):
+    """Factory used by experiments: a :data:`SELECTORS` name (``"fifo"``,
+    ``"brute"``, ``"best2"`` or an alias)."""
+    cls = SELECTORS.get(name)
+    if cls is None:
+        raise ValueError(
+            f"unknown selector algorithm={name!r} (expected one of {', '.join(SELECTORS)})"
+        )
+    if cls is BestOfTwo:
         return BestOfTwo(group_size=group_size, rng=rng)
-    raise ValueError(
-        f"unknown selector algorithm={name!r} (expected 'fifo', 'brute' or 'best2')"
-    )
+    return cls(group_size=group_size)

@@ -1,13 +1,8 @@
 """Wired-network substrate: nodes and the Ethernet hub backplane."""
 
-from repro.net.ethernet import EthernetHub, HubFrame, virtual_mimo_sample_bytes
-from repro.net.node import AccessPoint, Client, Node
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "AccessPoint",
-    "Client",
-    "EthernetHub",
-    "HubFrame",
-    "Node",
-    "virtual_mimo_sample_bytes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ethernet": ("EthernetHub", "HubFrame", "virtual_mimo_sample_bytes"),
+    "node": ("AccessPoint", "Client", "Node"),
+})

@@ -18,6 +18,8 @@ Modules
     Bit plumbing, framing, and synchronisation sequences.
 """
 
-from repro.phy.packet import DecodedPacket, Packet
+from repro.utils.lazy import lazy_exports
 
-__all__ = ["DecodedPacket", "Packet"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "packet": ("DecodedPacket", "Packet"),
+})

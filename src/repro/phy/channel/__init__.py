@@ -6,58 +6,21 @@ Replaces the paper's USRP testbed with a flat-fading MIMO channel model
 inference with hardware calibration (:mod:`~repro.phy.channel.reciprocity`).
 """
 
-from repro.phy.channel.estimation import (
-    ChannelTracker,
-    estimate_cfo,
-    estimate_channel,
-)
-from repro.phy.channel.model import (
-    Link,
-    MIMOChannel,
-    apply_cfo,
-    awgn,
-    noise_power_for_snr,
-    rayleigh_channel,
-)
-from repro.phy.channel.provider import (
-    ChannelProvider,
-    WidebandFadingNetwork,
-    evaluation_bins,
-)
-from repro.phy.channel.selective import MultiTapChannel, exponential_pdp
-from repro.phy.channel.timevarying import FadingNetwork, GaussMarkovFading
-from repro.phy.channel.reciprocity import (
-    RadioHardware,
-    ReciprocityCalibrator,
-    fractional_error,
-    observed_downlink,
-    observed_uplink,
-    predict_downlink,
-    solve_calibration,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ChannelProvider",
-    "ChannelTracker",
-    "FadingNetwork",
-    "GaussMarkovFading",
-    "Link",
-    "MIMOChannel",
-    "MultiTapChannel",
-    "RadioHardware",
-    "ReciprocityCalibrator",
-    "WidebandFadingNetwork",
-    "apply_cfo",
-    "awgn",
-    "estimate_cfo",
-    "estimate_channel",
-    "evaluation_bins",
-    "exponential_pdp",
-    "fractional_error",
-    "noise_power_for_snr",
-    "observed_downlink",
-    "observed_uplink",
-    "predict_downlink",
-    "rayleigh_channel",
-    "solve_calibration",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "estimation": ("ChannelTracker", "estimate_cfo", "estimate_channel"),
+    "model": ("Link", "MIMOChannel", "apply_cfo", "awgn", "noise_power_for_snr", "rayleigh_channel"),
+    "provider": ("ChannelProvider", "WidebandFadingNetwork", "evaluation_bins"),
+    "selective": ("MultiTapChannel", "exponential_pdp"),
+    "timevarying": ("FadingNetwork", "GaussMarkovFading"),
+    "reciprocity": (
+        "RadioHardware",
+        "ReciprocityCalibrator",
+        "fractional_error",
+        "observed_downlink",
+        "observed_uplink",
+        "predict_downlink",
+        "solve_calibration",
+    ),
+})

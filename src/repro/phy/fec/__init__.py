@@ -9,7 +9,9 @@ any code drops in unchanged (paper §1).  Provided codes:
   block code.
 """
 
-from repro.phy.fec.convolutional import ConvolutionalCode
-from repro.phy.fec.hamming import Hamming74
+from repro.utils.lazy import lazy_exports
 
-__all__ = ["ConvolutionalCode", "Hamming74"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "convolutional": ("ConvolutionalCode",),
+    "hamming": ("Hamming74",),
+})

@@ -1,22 +1,10 @@
 """MIMO signal processing: max-SINR detection, encoding-vector
 normalisation, the eigenmode baseline and rate metrics."""
 
-from repro.phy.mimo.capacity import jain_fairness, multiplexing_slope, rate_from_snrs
-from repro.phy.mimo.detection import post_projection_sinr
-from repro.phy.mimo.eigenmode import (
-    Eigenmodes,
-    best_ap_eigenmode_rates,
-    eigenmode_link,
-    waterfill,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Eigenmodes",
-    "best_ap_eigenmode_rates",
-    "eigenmode_link",
-    "jain_fairness",
-    "multiplexing_slope",
-    "post_projection_sinr",
-    "rate_from_snrs",
-    "waterfill",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "capacity": ("jain_fairness", "multiplexing_slope", "rate_from_snrs"),
+    "detection": ("post_projection_sinr",),
+    "eigenmode": ("Eigenmodes", "best_ap_eigenmode_rates", "eigenmode_link", "waterfill"),
+})

@@ -1,91 +1,48 @@
 """Experiment harness: testbed generation, runners, metrics."""
 
-from repro.sim.clustered import ClusteredConfig, ClusteredNetwork
-from repro.sim.geometry import (
-    contiguous_labels,
-    disk_positions,
-    grid_centers,
-    nearest_center,
-    pairwise_distances,
-    path_gain_db,
-    two_level_gain_db,
-)
-from repro.sim.multicell import (
-    CellPartition,
-    CellSummary,
-    MultiCellConfig,
-    MultiCellSimulation,
-    MultiCellStats,
-    build_partition,
-    cell_sim_seed,
-    elect_cell_leaders,
-)
-from repro.sim.experiment import (
-    GroupRateCache,
-    diversity_trial,
-    downlink_3x3_trial,
-    large_network_experiment,
-    uplink_2x2_trial,
-    uplink_3x3_trial,
-)
-from repro.sim.metrics import GainCDF, RatePair, ScatterResult, format_cdf_table
-from repro.sim.plotting import ascii_bars, ascii_cdf, ascii_scatter
-from repro.sim.traffic import (
-    BurstyTraffic,
-    ClientChurn,
-    HeterogeneousTraffic,
-    MobilityModel,
-    PoissonTraffic,
-    SaturatedTraffic,
-    TrafficModel,
-    make_traffic,
-)
-from repro.sim.wlan import WLANConfig, WLANEvent, WLANSimulation, WLANStats
-from repro.sim.testbed import Testbed, TestbedConfig
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BurstyTraffic",
-    "CellPartition",
-    "CellSummary",
-    "ClientChurn",
-    "ClusteredConfig",
-    "ClusteredNetwork",
-    "GainCDF",
-    "MultiCellConfig",
-    "MultiCellSimulation",
-    "MultiCellStats",
-    "GroupRateCache",
-    "HeterogeneousTraffic",
-    "MobilityModel",
-    "PoissonTraffic",
-    "RatePair",
-    "SaturatedTraffic",
-    "ScatterResult",
-    "Testbed",
-    "TestbedConfig",
-    "TrafficModel",
-    "WLANConfig",
-    "WLANEvent",
-    "WLANSimulation",
-    "WLANStats",
-    "make_traffic",
-    "build_partition",
-    "cell_sim_seed",
-    "contiguous_labels",
-    "disk_positions",
-    "elect_cell_leaders",
-    "grid_centers",
-    "nearest_center",
-    "pairwise_distances",
-    "path_gain_db",
-    "two_level_gain_db",
-    "ascii_bars",
-    "ascii_cdf",
-    "ascii_scatter",
-    "diversity_trial",
-    "downlink_3x3_trial",
-    "format_cdf_table",
-    "large_network_experiment",
-    "uplink_2x2_trial",
-    "uplink_3x3_trial",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "clustered": ("ClusteredConfig", "ClusteredNetwork"),
+    "geometry": (
+        "contiguous_labels",
+        "disk_positions",
+        "grid_centers",
+        "nearest_center",
+        "pairwise_distances",
+        "path_gain_db",
+        "two_level_gain_db",
+    ),
+    "multicell": (
+        "CellPartition",
+        "CellSummary",
+        "MultiCellConfig",
+        "MultiCellSimulation",
+        "MultiCellStats",
+        "build_partition",
+        "cell_sim_seed",
+        "elect_cell_leaders",
+    ),
+    "experiment": (
+        "GroupRateCache",
+        "diversity_trial",
+        "downlink_3x3_trial",
+        "large_network_experiment",
+        "uplink_2x2_trial",
+        "uplink_3x3_trial",
+    ),
+    "metrics": ("GainCDF", "RatePair", "ScatterResult", "format_cdf_table"),
+    "plotting": ("ascii_bars", "ascii_cdf", "ascii_scatter"),
+    "traffic": (
+        "BurstyTraffic",
+        "ClientChurn",
+        "HeterogeneousTraffic",
+        "MobilityModel",
+        "PoissonTraffic",
+        "SaturatedTraffic",
+        "TrafficModel",
+        "make_traffic",
+    ),
+    "wlan": ("WLANConfig", "WLANEvent", "WLANSimulation", "WLANStats"),
+    "testbed": ("Testbed", "TestbedConfig"),
+})

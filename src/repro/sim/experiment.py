@@ -51,6 +51,9 @@ from repro.sim.metrics import GainCDF, RatePair
 from repro.sim.testbed import Testbed
 from repro.utils.rng import default_rng
 
+#: Every ``direction`` the testbed experiments accept.
+DIRECTIONS: Tuple[str, ...] = ("uplink", "downlink")
+
 # --------------------------------------------------------------------- #
 # Scatter trials (Figs. 12-14)
 # --------------------------------------------------------------------- #
@@ -204,7 +207,7 @@ class GroupRateCache:
         direction: str,
         rng,
     ):
-        if direction not in ("uplink", "downlink"):
+        if direction not in DIRECTIONS:
             raise ValueError("direction must be 'uplink' or 'downlink'")
         self.testbed = testbed
         self.aps = tuple(aps)

@@ -286,27 +286,29 @@ class HeterogeneousTraffic(TrafficModel):
         return _leading_quiet(counts.any(axis=1), n_slots)
 
 
-def make_traffic(name: str, **params) -> TrafficModel:
-    """Factory used by scenario params: name + keyword knobs.
+#: Every ``traffic`` name :func:`make_traffic` accepts.
+TRAFFIC_MODELS: Dict[str, type] = {
+    "saturated": SaturatedTraffic,
+    "poisson": PoissonTraffic,
+    "bursty": BurstyTraffic,
+    "heterogeneous": HeterogeneousTraffic,
+}
 
-    Names: ``"saturated"``, ``"poisson"``, ``"bursty"``,
-    ``"heterogeneous"``.  Unknown keyword arguments raise ``TypeError``
-    (dataclass constructors), so sweep grids fail loudly on typos.
+
+def make_traffic(name: str, **params) -> TrafficModel:
+    """Factory used by scenario params: a :data:`TRAFFIC_MODELS` name +
+    keyword knobs.
+
+    Unknown keyword arguments raise ``TypeError`` (dataclass
+    constructors), so sweep grids fail loudly on typos.
     """
-    if name == "saturated":
-        if params:
-            raise TypeError("saturated traffic takes no parameters")
-        return SaturatedTraffic()
-    if name == "poisson":
-        return PoissonTraffic(**params)
-    if name == "bursty":
-        return BurstyTraffic(**params)
-    if name == "heterogeneous":
-        return HeterogeneousTraffic(**params)
-    raise ValueError(
-        f"unknown traffic model {name!r} "
-        "(expected saturated/poisson/bursty/heterogeneous)"
-    )
+    if name not in TRAFFIC_MODELS:
+        raise ValueError(
+            f"unknown traffic model {name!r} (expected {'/'.join(TRAFFIC_MODELS)})"
+        )
+    if name == "saturated" and params:
+        raise TypeError("saturated traffic takes no parameters")
+    return TRAFFIC_MODELS[name](**params)
 
 
 # --------------------------------------------------------------------- #

@@ -44,13 +44,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Collection, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.dot11_mimo import best_ap_link
 from repro.core.plans import BandedChannelSet, ChannelSet
-from repro.engine import BatchedGroupEvaluator
+from repro.engine.evaluator import ALIGNMENT_MODES, BatchedGroupEvaluator
 from repro.faults import FaultInjector, FaultPlan
 from repro.mac.association import (
     ChannelUpdate,
@@ -58,12 +58,12 @@ from repro.mac.association import (
     SubordinateAP,
     elect_leader,
 )
-from repro.mac.concurrency import make_selector
+from repro.mac.concurrency import SELECTORS, make_selector
 from repro.mac.queueing import QueuedPacket, TransmissionQueue
 from repro.net.ethernet import EthernetHub, HubFrame
 from repro.phy.channel.provider import ChannelProvider, WidebandFadingNetwork
 from repro.phy.channel.timevarying import FadingNetwork
-from repro.sim.traffic import ClientChurn, MobilityModel, TrafficModel, make_traffic
+from repro.sim.traffic import TRAFFIC_MODELS, ClientChurn, MobilityModel, TrafficModel, make_traffic
 from repro.utils.db import db_to_linear
 from repro.utils.knobs import check_integer_fields
 from repro.utils.rng import default_rng
@@ -71,6 +71,19 @@ from repro.utils.rng import default_rng
 #: Every value :attr:`WLANConfig.engine` accepts.  Doc-sync tests use
 #: this to require each engine be documented in EXPERIMENTS.md.
 WLAN_ENGINES: Tuple[str, ...] = ("reference", "fast")
+
+#: Every value :attr:`WLANConfig.channel` accepts.
+WLAN_CHANNELS: Tuple[str, ...] = ("flat", "wideband")
+
+#: The vocabulary of each :class:`WLANConfig` knob that takes a name: the
+#: ``choices`` of every scenario built on the WLAN simulation.
+WLAN_CHOICES: Mapping[str, Collection[str]] = {
+    "algorithm": SELECTORS,
+    "alignment": ALIGNMENT_MODES,
+    "channel": WLAN_CHANNELS,
+    "engine": WLAN_ENGINES,
+    "traffic": TRAFFIC_MODELS,
+}
 
 
 def _check_n_slots(n_slots: int) -> None:
@@ -411,7 +424,7 @@ class WLANSimulation:
         else:
             raise ValueError(
                 f"unknown channel substrate {config.channel!r} "
-                "(expected 'flat' or 'wideband')"
+                f"(expected one of {WLAN_CHANNELS})"
             )
         #: Whether sounding/tracking/solving carry per-subcarrier bands.
         self._banded = self.fading.n_bins > 1

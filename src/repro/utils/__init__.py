@@ -14,20 +14,14 @@ The submodules here are deliberately small and dependency-free (numpy only):
     suite is deterministic and repeatable.
 ``knobs``
     Integer-knob validation shared by the simulation configs.
+``lazy``
+    The PEP 562 helper behind every lazy package surface in ``repro``.
 """
 
-from repro.utils.db import db_to_linear, linear_to_db, db_to_power, power_to_db
-from repro.utils.linalg import align_error, herm, normalize
-from repro.utils.rng import default_rng, spawn_rngs
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "align_error",
-    "db_to_linear",
-    "db_to_power",
-    "default_rng",
-    "herm",
-    "linear_to_db",
-    "normalize",
-    "power_to_db",
-    "spawn_rngs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "db": ("db_to_linear", "db_to_power", "linear_to_db", "power_to_db"),
+    "linalg": ("align_error", "herm", "normalize"),
+    "rng": ("default_rng", "spawn_rngs"),
+})

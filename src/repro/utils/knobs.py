@@ -6,7 +6,7 @@ import functools
 import math
 import numbers
 from dataclasses import fields
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Collection, Dict, Mapping, Tuple
 
 
 def check_integer(name: str, value) -> int:
@@ -51,6 +51,14 @@ def check_knob(name: str, value, kind: type, optional: bool = False):
     if not valid:
         raise ValueError(f"{name} must be {KNOB_TYPES[kind]}, got {value!r}")
     return value
+
+
+def check_choice(name: str, value, names: Collection[str]) -> str:
+    """``value`` if it is one of ``names``, the name list of the library
+    code that reads the knob, or a ``ValueError`` naming the knob."""
+    if isinstance(value, str) and value in names:
+        return value
+    raise ValueError(f"{name} must be one of {', '.join(names)}, got {value!r}")
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,8 +1,20 @@
-"""Lint fixture: a scenario module no ``__init__`` imports (violating)."""
+"""Lint fixture: registrations the fake table does not list (violating)."""
 
 from repro.experiments.registry import register_scenario
 
+NAME = "computed"
 
-@register_scenario  # expect: scenario-registration
-def unreachable(scenario):
-    return scenario
+
+@register_scenario("unreachable", figure="-", description="not in the table")  # expect: scenario-registration
+def unreachable(ctx):
+    return {}
+
+
+@register_scenario("moved", figure="-", description="table names another module")  # expect: scenario-registration
+def moved(ctx):
+    return {}
+
+
+@register_scenario(NAME, figure="-", description="no literal name to list")  # expect: scenario-registration
+def computed(ctx):
+    return {}

@@ -112,22 +112,38 @@ class TestFixtureLiveness:
         ] == []
         assert any(f.rule == "unused-suppression" for f in findings)
 
-    def test_scenario_registration_fixture(self):
-        sources = {}
-        mapping = {
-            "__init__.py": "repro/experiments/__init__.py",
-            "registered.py": "repro/experiments/registered.py",
-            "orphan.py": "repro/experiments/orphan.py",
-        }
-        expected = []
-        for filename, rel_path in mapping.items():
+    @staticmethod
+    def scenario_registration_sources(*filenames):
+        sources, expected = {}, []
+        for filename in filenames:
             path = FIXTURES / "scenario_registration" / filename
+            rel_path = f"repro/experiments/{filename}"
             sources[rel_path] = path.read_text(encoding="utf-8")
             expected.extend(expected_markers(path, rel_path))
+        return sources, expected
+
+    def test_scenario_registration_fixture(self):
+        """Both directions: registrations the table misses (orphan.py),
+        and table entries whose module does not register them
+        (registry.py)."""
+        sources, expected = self.scenario_registration_sources(
+            "registry.py", "registered.py", "orphan.py"
+        )
         findings = lint_sources(sources)
         got = sorted((f.path, f.line, f.rule) for f in findings)
         assert got == sorted(expected)
-        assert expected, "scenario_registration fixtures have no markers"
+        assert {path for path, _, _ in expected} == {
+            "repro/experiments/registry.py", "repro/experiments/orphan.py"
+        }
+
+    def test_scenario_registration_without_a_table(self):
+        """With no registry table, every registration is unreachable."""
+        sources, _ = self.scenario_registration_sources("registered.py")
+        findings = lint_sources(sources)
+        assert [(f.path, f.rule) for f in findings] == [
+            ("repro/experiments/registered.py", "scenario-registration")
+        ]
+        assert "SCENARIO_MODULES" in findings[0].message
 
 
 class TestScopeExemptions:

@@ -144,6 +144,29 @@ class TestSchema:
         default = scenario.default_params[knob]
         assert scenario.resolve({knob: default})[knob] is default
 
+    @pytest.mark.parametrize("name, knob", [
+        (scenario.name, knob)
+        for scenario in list_scenarios()
+        for knob in scenario.choices
+        if knob in scenario.default_params
+    ])
+    def test_choice_knobs_take_exactly_the_library_names(self, name, knob):
+        scenario = get_scenario(name)
+        names = scenario.choices[knob]
+        assert scenario.default_params[knob] in names
+        for value in names:
+            assert scenario.resolve({knob: value})[knob] == value
+        for value in ("fractal", next(iter(names)).upper()):
+            with pytest.raises(ValueError, match=rf"^{knob} must be one of "):
+                scenario.resolve({knob: value})
+
+    def test_execution_knobs_are_checked_by_name(self):
+        """``engine`` has no default to type it; its vocabulary checks it."""
+        for name in ("fig15_dynamic", "city_scale", "fault_resilience"):
+            assert get_scenario(name).resolve({"engine": "reference"})["engine"] == "reference"
+            with pytest.raises(ValueError, match="^engine must be one of"):
+                get_scenario(name).resolve({"engine": "turbo"})
+
     def test_optional_knobs_take_none(self):
         assert get_scenario("fig17").resolve({"topology_seed": None})["topology_seed"] is None
         assert get_scenario("fig17").resolve({"topology_seed": 3.0})["topology_seed"] == 3

@@ -174,6 +174,15 @@ class TestRegistryCLI:
         assert "n_slots must be an integer" in capsys.readouterr().err
         assert not store.exists()
 
+    def test_sweep_rejects_an_unknown_name_before_any_file(self, capsys, tmp_path):
+        # The saturated cell used to run and be cached before fractal failed.
+        store = tmp_path / "dom.json"
+        assert main(["sweep", "fig15_dynamic", "--grid", "traffic=saturated,fractal",
+                     "--param", "n_slots=10", "--param", "n_clients=6",
+                     "--trials", "1", "--cache", str(store)]) == 1
+        assert "traffic must be one of" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_bad_param_syntax_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "fig12", "--trials", "1", "--param", "oops"])
