@@ -25,6 +25,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "decoder": ("DecodeReport", "PacketResult", "decode_rate_level"),
     "dof": ("downlink_aps_needed", "downlink_max_packets", "uplink_aps_needed", "uplink_max_packets"),
     "general": ("GeneralAlignmentProblem", "SubspaceConstraint", "solve_downlink_general", "solve_uplink_general"),
-    "plans": ("AlignmentSolution", "BandedChannelSet", "ChannelSet", "DecodeStage", "PacketSpec"),
+    "plans": ("AlignmentSolution", "ChannelSet", "DecodeStage", "PacketSpec"),
     "session": ("SessionReport", "SignalConfig", "run_session"),
 })

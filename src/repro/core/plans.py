@@ -14,6 +14,11 @@ An IAC round is described by three pieces (paper §4):
 The same types describe uplink (clients transmit, APs decode successively
 over the Ethernet) and downlink (APs transmit, every client decodes alone --
 all stages are then independent, see :attr:`AlignmentSolution.cooperative`).
+
+A :class:`ChannelSet` is one flat matrix per link.  Wideband channels have
+no set type of their own: they travel as plain ``(n_bins, n_rx, n_tx)``
+stacks (:meth:`~repro.phy.channel.provider.ChannelProvider.channel_bins`),
+and the batched evaluator lays every bin out as a row of its solver batch.
 """
 
 from __future__ import annotations
@@ -99,68 +104,6 @@ class ChannelSet:
             noise = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)) / np.sqrt(2)
             out[key] = h + relative_error * rms * noise
         return ChannelSet(out)
-
-
-class BandedChannelSet:
-    """Per-subcarrier channel stacks between node identifiers.
-
-    The wideband (banded) form of :class:`ChannelSet`: ``H[tx, rx]`` is an
-    ``(n_bins, n_rx_antennas, n_tx_antennas)`` complex stack, one flat
-    matrix per evaluated OFDM subcarrier.  Every pair must carry the same
-    number of bins; a flat :class:`ChannelSet` is exactly the
-    ``n_bins == 1`` case (:meth:`from_flat` / :meth:`at_bin` convert).
-
-    Built from a :class:`~repro.phy.channel.provider.ChannelProvider`'s
-    ``channel_bins`` output; consumed by the subcarrier-batched solver in
-    :mod:`repro.engine.batched` and by the per-bin reference loop (which
-    calls :meth:`at_bin` and runs the flat scalar path on each bin).
-    """
-
-    def __init__(self, channels: Mapping[Tuple[int, int], np.ndarray]):
-        if not channels:
-            raise ValueError("channel set cannot be empty")
-        self._channels: Dict[Tuple[int, int], np.ndarray] = {}
-        n_bins = None
-        for key, h in channels.items():
-            h = np.asarray(h, dtype=complex)
-            if h.ndim == 2:
-                h = h[None]
-            if h.ndim != 3:
-                raise ValueError(f"channel {key} is not a (n_bins, n_rx, n_tx) stack")
-            if n_bins is None:
-                n_bins = h.shape[0]
-            elif h.shape[0] != n_bins:
-                raise ValueError(
-                    f"channel {key} has {h.shape[0]} bins, expected {n_bins}"
-                )
-            self._channels[key] = h
-        self.n_bins = int(n_bins)
-
-    def h_bins(self, tx: int, rx: int) -> np.ndarray:
-        """``(n_bins, n_rx, n_tx)`` stack from node ``tx`` to node ``rx``."""
-        try:
-            return self._channels[(tx, rx)]
-        except KeyError:
-            raise KeyError(f"no channel from node {tx} to node {rx}") from None
-
-    def h(self, tx: int, rx: int, f: int = 0) -> np.ndarray:
-        """The flat matrix of one subcarrier (bin index ``f``)."""
-        return self.h_bins(tx, rx)[f]
-
-    def __contains__(self, key: Tuple[int, int]) -> bool:
-        return key in self._channels
-
-    def pairs(self) -> List[Tuple[int, int]]:
-        return list(self._channels)
-
-    def at_bin(self, f: int) -> ChannelSet:
-        """The flat :class:`ChannelSet` all links present to bin ``f``."""
-        return ChannelSet({key: h[f] for key, h in self._channels.items()})
-
-    @classmethod
-    def from_flat(cls, channels: ChannelSet) -> "BandedChannelSet":
-        """Lift a flat set into its one-bin banded form."""
-        return cls({key: channels.h(*key) for key in channels.pairs()})
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ and :func:`~repro.core.decoder.decode_rate_level` from scratch for every
 probe — O(clients^3) tiny ``np.linalg`` calls per slot.  This package
 replaces that with two orthogonal optimisations in one evaluator:
 
-* **Batching** (:mod:`repro.engine.batched`): the believed
-  :class:`~repro.core.plans.ChannelSet` of every not-yet-cached candidate
-  group is stacked into an ``(G, 3, 3, M, M)`` ndarray and the alignment
+* **Batching** (:mod:`repro.engine.batched`): the believed channels of
+  every not-yet-cached candidate group, every subcarrier of a wideband
+  group a row of its own, are stacked into a ``(G·B, 3, 3, M, M)``
+  ndarray and the alignment
   solutions plus rate-level SINRs are computed with stacked ``np.linalg``
   calls (``inv``/``eig``/``solve`` broadcast over the leading group axis),
   amortising the Python and LAPACK dispatch overhead over the whole probe.
@@ -24,8 +25,9 @@ replaces that with two orthogonal optimisations in one evaluator:
   never re-solved — and a single drift report invalidates exactly the
   cached groups containing the drifted client.
 
-Both WLAN engines run that one batched evaluator; on flat channels it
-gathers each probe from a believed-channel mirror, and its
+Both WLAN engines run that one batched evaluator, on flat and wideband
+channels alike (a flat channel is the one-bin band); it gathers each
+probe from a believed-channel mirror, and its
 ``plan``/``install`` split lets the fast engine pool many cells' solves
 into one call.  The scalar per-group path lives on only as the test-only
 oracle ``tests/reference/evaluator.py``;
@@ -39,13 +41,9 @@ from repro.utils.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "batched": (
-        "downlink_sinrs_band",
         "downlink_sinrs_batch",
-        "downlink_transmit_sinrs_band",
         "downlink_transmit_sinrs_cached",
-        "solve_downlink_three_band",
         "solve_downlink_three_batch",
-        "stack_downlink_channels_band",
     ),
     "evaluator": ("ALIGNMENT_MODES", "BatchedGroupEvaluator"),
 })

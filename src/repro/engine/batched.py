@@ -29,8 +29,8 @@ received direction at every receiver, and one ``take``
 (:func:`_receiver_rows`) lays out each receiver's rows as ``[desired,
 interferer, interferer]``.  The filter design reads its interference
 from those rows, and one more ``einsum`` gives the desired and cross
-terms together.  The solver, the band and flat-anchor routes and both
-transmit decodes share these helpers.  The hot path calls numpy's C
+terms together.  The solver, the flat-anchor rescoring and the transmit
+decode share these helpers.  The hot path calls numpy's C
 ``einsum`` and LAPACK gufuncs directly and caches its index arrays per
 ``(G, M)``: it only skips Python-side wrapper work.  Every per-element
 operation is the one the scalar solver runs, in the same order, so the
@@ -38,25 +38,23 @@ fused kernel is byte-identical to the unfused one
 (``tests/engine/test_kernel_oracle.py`` keeps a frozen copy of it as
 its oracle).
 
-The wideband (per-subcarrier, §6c) layer stacks one more axis on the
-same machinery: :func:`stack_downlink_channels_band` builds a
-``(G, B, 3, 3, M, M)`` band batch from banded channel maps,
-:func:`solve_downlink_three_band` flattens the ``(G, B)`` grid into one
-``(G*B,)`` batch — every subcarrier of every group solved in the same
-single stacked ``np.linalg`` calls — and
-:func:`downlink_transmit_sinrs_band` decodes a transmitted group on all
-bins at once.  ``B = 1`` reduces to the flat route bit-identically.
+The wideband (per-subcarrier, §6c) layer needs no kernel of its own:
+every subcarrier of a group is the flat problem, so the evaluator lays
+a ``(G, B)`` band out as ``G·B`` rows of one solver batch
+(:func:`repro.engine.evaluator.solver_rows`), and the transmit decode
+takes the bin axis as one more leading batch axis.  A flat channel is
+the ``B = 1`` band.
 
 Numerical equivalence with the scalar path is asserted by
 ``tests/engine/test_evaluator.py`` (all selectors, 2-4 antennas) and,
-for the banded solver against the per-bin scalar loop, by
+for bands against the per-bin scalar loop, by
 ``tests/engine/test_band.py``.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Mapping, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -147,112 +145,6 @@ def downlink_sinrs_batch(
     return sinrs
 
 
-def stack_downlink_channels_band(
-    groups: Sequence[Tuple[int, ...]],
-    channel_maps: Mapping[int, Mapping[int, np.ndarray]],
-    aps: Sequence[int],
-) -> np.ndarray:
-    """Stack banded believed channels of candidate groups into one batch.
-
-    ``groups`` are ordered 3-client tuples (the order encodes the AP
-    assignment); ``channel_maps`` maps each client to its per-AP
-    ``(B, M, M)`` subcarrier stacks (a flat ``(M, M)`` matrix is
-    accepted as the ``B = 1`` case); ``aps`` are the three transmitting
-    APs, in packet order.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(G, B, 3, 3, M, M)`` complex batch: ``h[g, b, i, j]`` is the
-        bin-``b`` channel from AP ``aps[i]`` to client ``groups[g][j]``.
-    """
-    if len(aps) != GROUP_SIZE:
-        raise ValueError(f"downlink groups use exactly {GROUP_SIZE} APs")
-    first = np.asarray(next(iter(next(iter(channel_maps.values())).values())))
-    if first.ndim == 2:
-        first = first[None]
-    n_bins, m = first.shape[0], first.shape[-1]
-    h = np.empty((len(groups), n_bins, GROUP_SIZE, GROUP_SIZE, m, m), dtype=complex)
-    for g, group in enumerate(groups):
-        if len(group) != GROUP_SIZE:
-            raise ValueError(f"group {group} does not have {GROUP_SIZE} clients")
-        for j, client in enumerate(group):
-            cmap = channel_maps[client]
-            for i, ap in enumerate(aps):
-                hb = np.asarray(cmap[ap])
-                h[g, :, i, j] = hb if hb.ndim == 3 else hb[None]
-    return h
-
-
-def solve_downlink_three_band(
-    h: np.ndarray,
-    noise_power: float = 1.0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-subcarrier downlink-3 alignment for a batch of banded groups.
-
-    The §6c operating mode: every subcarrier of every group is solved
-    *independently* — bin ``b`` of group ``g`` is exactly the flat
-    problem :func:`solve_downlink_three_batch` solves, so the whole
-    ``(G, B)`` grid is flattened into one ``(G*B,)`` batch and solved in
-    the same single stacked ``np.linalg`` calls.  ``B = 1`` is therefore
-    bit-identical to the flat route by construction (the reshape is a
-    view; the arithmetic is the same).
-
-    Parameters
-    ----------
-    h:
-        ``(G, B, 3, 3, M, M)`` believed-channel band batch
-        (see :func:`stack_downlink_channels_band`).
-    noise_power:
-        Noise power used to score eigenvector candidates per bin.
-
-    Returns
-    -------
-    (encodings, rates, sinrs):
-        ``encodings`` is ``(G, B, 3, M)`` — per-bin winning unit-norm
-        vectors; ``rates`` is ``(G, B)`` per-bin estimated throughput;
-        ``sinrs`` is ``(G, B, 3)`` per-bin per-packet SINRs.
-    """
-    g, b = h.shape[:2]
-    v, rates, sinrs = solve_downlink_three_batch(
-        h.reshape((g * b,) + h.shape[2:]), noise_power
-    )
-    return (
-        v.reshape(g, b, GROUP_SIZE, -1),
-        rates.reshape(g, b),
-        sinrs.reshape(g, b, GROUP_SIZE),
-    )
-
-
-def downlink_sinrs_band(h: np.ndarray, v: np.ndarray, noise_power: float) -> np.ndarray:
-    """Per-bin rate-level SINRs of banded groups under given encodings.
-
-    Used by the flat-anchor mode to score one band-wide encoding (solved
-    at the anchor subcarrier) against every bin's believed channel.
-
-    Parameters
-    ----------
-    h:
-        ``(G, B, 3, 3, M, M)`` channel band batch.
-    v:
-        ``(G, B, 3, M)`` encoding vectors (broadcast a ``(G, 1, 3, M)``
-        anchor solution across bins with ``np.broadcast_to``).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(G, B, 3)`` SINRs, packet ``i`` decoded at client ``i``.
-    """
-    g, b = h.shape[:2]
-    v = np.broadcast_to(v, (g, b) + v.shape[2:])
-    flat = downlink_sinrs_batch(
-        h.reshape((g * b,) + h.shape[2:]),
-        np.ascontiguousarray(v).reshape((g * b,) + v.shape[2:]),
-        noise_power,
-    )
-    return flat.reshape(g, b, GROUP_SIZE)
-
-
 def downlink_transmit_sinrs_cached(
     h_true: np.ndarray,
     v: np.ndarray,
@@ -303,44 +195,6 @@ def downlink_transmit_sinrs_cached(
     # Both designs are evaluated against the true received directions
     # (they broadcast across the design axis of ``w``).
     sinr = post_projection_sinr_batch(w, rows, noise_power)
-    return sinr[0], sinr[1]
-
-
-def downlink_transmit_sinrs_band(
-    h_true: np.ndarray,
-    h_believed: np.ndarray,
-    v: np.ndarray,
-    noise_power: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Actual and genie SINRs of one transmitted group on every subcarrier.
-
-    Every evaluated bin of one transmitted group is decoded against its
-    own true channel, with receive filters designed per bin from the
-    believed (actual) and true (genie) channels — the bin axis is just
-    one more batch axis on the same vectorised pass.
-
-    Parameters
-    ----------
-    h_true, h_believed:
-        ``(B, 3, 3, M, M)`` channel bands for one group.
-    v:
-        ``(B, 3, M)`` per-bin unit-norm encoding vectors; a flat-anchor
-        solution broadcasts its single ``(1, 3, M)`` entry across bins.
-
-    Returns
-    -------
-    (actual, ideal):
-        Two ``(B, 3)`` per-bin per-packet SINR arrays.
-    """
-    n_bins = h_true.shape[0]
-    v = np.broadcast_to(v, (n_bins,) + v.shape[1:])
-    # Axis 0 is the filter design: 0 = believed (actual outcome),
-    # 1 = true (genie bound).
-    ht = np.stack([np.swapaxes(h_believed, 1, 2), np.swapaxes(h_true, 1, 2)])
-    rows = _receiver_rows(ht, v)  # (2, B, 3, 3, M)
-    w = max_sinr_vectors(rows, noise_power)
-    # Both designs are evaluated against the *true* received directions.
-    sinr = post_projection_sinr_batch(w, rows[1:], noise_power)
     return sinr[0], sinr[1]
 
 

@@ -171,7 +171,7 @@ def _ofdm(p, variant, point, clock) -> np.ndarray:
     from repro.core.alignment import solve_downlink_three_packets
     from repro.core.decoder import decode_rate_level
     from repro.core.plans import ChannelSet
-    from repro.engine.batched import solve_downlink_three_band
+    from repro.engine.batched import solve_downlink_three_batch
     from repro.phy.channel.provider import evaluation_bins
     from repro.phy.channel.selective import MultiTapChannel, exponential_pdp
 
@@ -189,7 +189,9 @@ def _ofdm(p, variant, point, clock) -> np.ndarray:
                 h[g, :, i, j] = MultiTapChannel.random(m, m, pdp, rng).frequency_response(n_fft)[bins]
     with clock:
         if variant == "batched":
-            sinrs = solve_downlink_three_band(h, noise_power=1.0)[2]
+            sinrs = solve_downlink_three_batch(
+                h.reshape((n_groups * n_bins,) + h.shape[2:]), noise_power=1.0
+            )[2].reshape(n_groups, n_bins, 3)
         else:
             sinrs = np.empty((n_groups, n_bins, 3))
             for g in range(n_groups):

@@ -3,11 +3,13 @@
 :class:`BatchedGroupEvaluator` scores candidate transmission groups
 against the leader's *believed* channels — the quantity the concurrency
 selectors of :mod:`repro.mac.concurrency` maximise — and gives the
-per-packet SINRs of the group that actually transmits.  It is the evaluator of both WLAN engines: it gathers
-all not-yet-cached groups of a probe from a believed-channel mirror into
-one ndarray batch (:mod:`repro.engine.batched`) and memoises per-group
-solutions keyed on the channel-map versions of the group's clients, so
-unchanged groups are never re-solved between drift reports.  Its
+per-packet SINRs of the group that actually transmits.  It is the
+evaluator of both WLAN engines, on flat and wideband channels alike: it
+gathers all not-yet-cached groups of a probe from a believed-channel
+mirror into one ndarray batch (:mod:`repro.engine.batched`) and
+memoises per-group solutions keyed on the channel-map versions of the
+group's clients, so unchanged groups are never re-solved between drift
+reports.  Its
 :meth:`~BatchedGroupEvaluator.plan` / :meth:`~BatchedGroupEvaluator.install`
 split lets the columnar slot path pool the solves of many cells into one
 call.
@@ -21,7 +23,7 @@ the test suite's oracle, ``tests/reference/evaluator.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +32,9 @@ import numpy as np
 from repro.core.alignment import solve_downlink_three_packets  # noqa: F401
 from repro.engine.batched import (
     GROUP_SIZE,
-    downlink_sinrs_band,
+    downlink_sinrs_batch,
     downlink_transmit_sinrs_cached,
-    downlink_transmit_sinrs_band,
-    solve_downlink_three_band,
     solve_downlink_three_batch,
-    stack_downlink_channels_band,
 )
 
 Group = Tuple[int, ...]
@@ -53,21 +52,46 @@ ALIGNMENT_MODES = ("per_subcarrier", "flat_anchor")
 class _CacheEntry:
     versions: Tuple[int, ...]
     rate: float
-    #: Unit-norm encoding vectors: ``(3, M)`` on flat sources (also the
-    #: flat-anchor band solution, broadcast at transmit time); ``(B, 3, M)``
-    #: per-bin on banded sources in per-subcarrier mode.
+    #: Per-bin unit-norm encoding vectors, ``(B, 3, M)`` (a flat source
+    #: is ``B = 1``; in flat-anchor mode every bin holds the anchor's).
     encodings: np.ndarray
-    sinrs: np.ndarray  # (3,) flat, (B, 3) banded
-    #: Believed-design max-SINR receive filters of the winning candidate
-    #: (``(3, M)``, flat solves only) — reused by the transmit decode via
+    sinrs: np.ndarray  # (B, 3)
+    #: Per-bin believed-design max-SINR receive filters ``(B, 3, M)`` of
+    #: the cached encodings — reused by the transmit decode via
     #: :func:`~repro.engine.batched.downlink_transmit_sinrs_cached` so it
-    #: skips redesigning them.  ``None`` on banded entries.
-    w_bel: "np.ndarray | None" = None
+    #: skips redesigning them.
+    w_bel: np.ndarray
     #: Source ``version_epoch`` at which ``versions`` was last confirmed
     #: current (``-1`` when the source has no epoch counter).  Epoch
     #: unchanged implies *no* client's version changed, so revalidation
     #: can skip polling every member — same hit/miss decisions, cheaper.
     validated_epoch: int = -1
+
+
+class Plan(NamedTuple):
+    """The solve a probe needs (:meth:`BatchedGroupEvaluator.plan`)."""
+
+    #: The distinct groups to solve, in probe order.
+    groups: Sequence[Group]
+    #: Their channel-map version keys.
+    versions: List[Tuple[int, ...]]
+    #: ``(G, 3, B, 3, M, M)`` client-major believed rows from the mirror:
+    #: ``band[g, j, b, i]`` is bin ``b`` from ``aps[i]`` to client ``j``.
+    band: np.ndarray
+    #: The bins of ``band`` the solver gets: all of them, or the anchor
+    #: bin alone (``(G, 3, 1, 3, M, M)``, flat-anchor mode).
+    rows: np.ndarray
+
+
+def solver_rows(rows: np.ndarray) -> np.ndarray:
+    """Client-major ``(G, 3, B, 3, M, M)`` rows in the solver's
+    ``(G·B, 3, 3, M, M)`` layout (``h[g·B + b, i, j]``: AP ``i`` to client
+    ``j``); a view for ``B = 1``.  The solver's gufuncs buffer per slice,
+    so a view is fine."""
+    g, _, b = rows.shape[:3]
+    return rows.transpose(0, 2, 3, 1, 4, 5).reshape(
+        (g * b, rows.shape[3], rows.shape[1]) + rows.shape[4:]
+    )
 
 
 class BatchedGroupEvaluator:
@@ -80,16 +104,17 @@ class BatchedGroupEvaluator:
     version and thereby invalidates exactly the cached groups containing
     that client — everything else stays warm across slots.
 
-    On a flat (one-bin) source the believed channels are mirrored in one
-    ``(capacity, 3, M, M)`` ndarray indexed by a per-client row; a row is
-    refreshed **only** when the client's channel-map version changed
-    since the last sync (a drift report touches exactly one row).
-    Stacking a probe's candidate groups is then one fancy-index gather,
-    and the gathered values are byte-for-byte the leader's believed
-    matrices.  A genuinely banded source skips the mirror and stacks
-    per group (:func:`~repro.engine.batched.stack_downlink_channels_band`).
+    The believed channels are mirrored in one ``(capacity, B, 3, M, M)``
+    ndarray indexed by a per-client row (a flat source is ``B = 1``); a
+    row is refreshed **only** when the client's channel-map version
+    changed since the last sync (a drift report touches exactly one
+    row).  Stacking a probe's candidate groups is then one fancy-index
+    gather, and the gathered values are byte-for-byte the leader's
+    believed matrices.  Every bin of every group is one row of the same
+    solver batch (:func:`solver_rows`), so a band solves in the call
+    that solves a flat probe, and a one-bin band *is* the flat probe.
 
-    The flat solve is split into :meth:`plan` (the groups a probe would
+    The solve is split into :meth:`plan` (the groups a probe would
     solve, gathered) and :meth:`install` (cache the solver's outputs), so
     a driver can pool the plans of many evaluators into one solver call
     (:func:`repro.sim.columnar.solve_wave`).
@@ -138,15 +163,12 @@ class BatchedGroupEvaluator:
         #: counters read as if this evaluator had solved them itself.
         self._presolved: set = set()
         self._rows: Dict[int, int] = {}
-        self._bel: np.ndarray | None = None  # (capacity, 3, M, M) mirror
+        self._bel: np.ndarray | None = None  # (capacity, B, 3, M, M) mirror
         self._bel_versions: np.ndarray | None = None  # (capacity,) int64
         #: Source ``version_epoch`` at which each row was last confirmed
         #: fresh (-1 = never): lets :meth:`_sync` skip even the per-client
         #: version poll while the leader's table is globally unchanged.
         self._row_epochs: np.ndarray | None = None  # (capacity,) int64
-        #: Tri-state: None = not yet probed, True = flat mirror active,
-        #: False = banded source (per-group band stacking).
-        self._flat: bool | None = None
 
     def cache_info(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._cache)}
@@ -224,31 +246,10 @@ class BatchedGroupEvaluator:
         return rates
 
     def _solve_batch(self, groups: Sequence[Group]) -> None:
-        if self.flat_capable(groups[0][0]):
-            # Flat route (also the wideband n_bins == 1 limit): one gather
-            # from the believed-channel mirror.
-            bel, versions = self._gather(groups)
-            self.install(groups, versions, solve_downlink_three_batch(
-                np.swapaxes(bel, 1, 2), self.noise_power, return_filters=True
-            ))
-            return
-        channel_maps = {c: self.source.channel_map(c) for g in groups for c in g}
-        versions = [tuple(self.source.channel_version(c) for c in g) for g in groups]
-        h = stack_downlink_channels_band(groups, channel_maps, self.aps)
-        if self.alignment == "flat_anchor":
-            # Solve once at the band-centre anchor, score the stale
-            # encodings against every bin's believed channel.
-            anchor = h.shape[1] // 2
-            encodings, _, _ = solve_downlink_three_batch(
-                h[:, anchor], self.noise_power
-            )
-            sinrs = downlink_sinrs_band(h, encodings[:, None], self.noise_power)
-        else:
-            encodings, _, sinrs = solve_downlink_three_band(h, self.noise_power)
-        # Band throughput: per-subcarrier sum rate averaged over the
-        # evaluated bins (b/s/Hz, comparable across bin counts).
-        rates = np.log2(1.0 + sinrs).sum(axis=-1).mean(axis=-1)
-        self.install(groups, versions, (encodings, rates, sinrs, None))
+        plan = self._plan(groups)
+        self.install(plan, solve_downlink_three_batch(
+            solver_rows(plan.rows), self.noise_power, return_filters=True
+        ))
 
     def _cached_entry(self, group: Group) -> _CacheEntry:
         if len(group) != GROUP_SIZE:
@@ -264,60 +265,51 @@ class BatchedGroupEvaluator:
     def evaluate(self, group: Group) -> float:
         return self.evaluate_many([tuple(group)])[0]
 
-    def transmit_sinrs(self, group: Group, true_channels) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-packet SINRs of transmitting ``group`` over true channels.
+    def transmit_sinrs(
+        self, group: Group, h_true: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-bin, per-packet SINRs of transmitting ``group``.
 
-        Returns ``(actual, ideal)``: receive filters designed from the
-        believed channels vs. from the true ones (the genie bound), both
-        measured against ``true_channels``.  Packet ``i`` is decoded at
-        client ``group[i]``.  A batched decode: no per-packet Python
-        machinery.
+        ``h_true`` is the ``(B, 3, 3, M, M)`` true band: ``h_true[b, i,
+        j]`` is bin ``b`` from ``aps[i]`` to ``group[j]``.  Returns
+        ``(actual, ideal)``, two ``(B, 3)`` arrays: receive filters
+        designed from the believed channels vs. from the true ones (the
+        genie bound), both measured against ``h_true``.  Packet ``i`` is
+        decoded at client ``group[i]``.
 
-        Uses the memoised encodings and believed-design receive filters
-        (the selector just scored this group) and designs only the genie
-        filters, in one vectorised pass over receivers — see
+        Uses the memoised per-bin encodings and believed-design receive
+        filters (the selector just scored this group) and designs only
+        the genie filters, in one vectorised pass over bins and
+        receivers — see
         :func:`repro.engine.batched.downlink_transmit_sinrs_cached`.
-        On a banded source ``true_channels`` is a
-        :class:`BandedChannelSet` and the bins ride along as one more
-        batch axis (``(B, 3)`` outputs, see
-        :func:`repro.engine.batched.downlink_transmit_sinrs_band`).
         """
-        group = tuple(group)
-        entry = self._cached_entry(group)
-        if self.flat_capable(group[0]):
-            m = entry.encodings.shape[-1]
-            h_true = np.empty((GROUP_SIZE, GROUP_SIZE, m, m), dtype=complex)
-            for i, ap in enumerate(self.aps):
-                for j, client in enumerate(group):
-                    h_true[i, j] = true_channels.h(ap, client)
-            return downlink_transmit_sinrs_cached(
-                h_true, entry.encodings, entry.w_bel, self.noise_power
-            )
-        channel_maps = {c: self.source.channel_map(c) for c in group}
-        h_bel = stack_downlink_channels_band([group], channel_maps, self.aps)[0]
-        h_true = np.empty_like(h_bel)
-        for i, ap in enumerate(self.aps):
-            for j, client in enumerate(group):
-                h_true[:, i, j] = true_channels.h_bins(ap, client)
-        v = entry.encodings
-        if v.ndim == 2:  # flat-anchor: one solution band-wide
-            v = v[None]
-        return downlink_transmit_sinrs_band(h_true, h_bel, v, self.noise_power)
+        entry = self._cached_entry(tuple(group))
+        return downlink_transmit_sinrs_cached(
+            h_true, entry.encodings, entry.w_bel, self.noise_power
+        )
+
+    def transmit_filters(self, group: Group) -> Tuple[np.ndarray, np.ndarray]:
+        """The memoised ``(B, 3, M)`` encodings and believed-design filters.
+
+        What a transmit decode of ``group`` needs from the solve (the
+        selector just scored it, so this is a cache hit).  The columnar
+        slot path gathers the true channels itself and decodes every
+        aligned slot of a run in one
+        :func:`~repro.engine.batched.downlink_transmit_sinrs_cached` call
+        (:func:`repro.sim.columnar.transmit_wave`).
+        """
+        entry = self._cached_entry(tuple(group))
+        return entry.encodings, entry.w_bel
 
     # -------------------------- mirror plumbing ----------------------- #
-
-    def flat_capable(self, client: int) -> bool:
-        """Whether the mirror route applies (lazily probed once)."""
-        if self._flat is None:
-            h = np.asarray(next(iter(self.source.channel_map(client).values())))
-            self._flat = h.ndim != 3 or h.shape[0] == 1
-        return self._flat
 
     def _grow(self, row: int, cmap: Mapping[int, np.ndarray]) -> None:
         """Make room for ``row`` (capacity 8, doubling as clients join)."""
         if self._bel is None:
-            m = np.asarray(next(iter(cmap.values()))).shape[-1]
-            self._bel = np.zeros((0, len(self.aps), m, m), dtype=complex)
+            h = np.asarray(next(iter(cmap.values())))
+            n_bins = h.shape[0] if h.ndim == 3 else 1
+            m = h.shape[-1]
+            self._bel = np.zeros((0, n_bins, len(self.aps), m, m), dtype=complex)
             self._bel_versions = np.zeros(0, dtype=np.int64)
             self._row_epochs = np.zeros(0, dtype=np.int64)
         n = self._bel.shape[0]
@@ -348,92 +340,93 @@ class BatchedGroupEvaluator:
             self._rows[client] = row
         self._grow(row, cmap)
         for i, ap in enumerate(self.aps):
-            h = np.asarray(cmap[ap])
-            if h.ndim == 3:  # one-bin banded source: the flat squeeze
-                h = h[0]
-            self._bel[row, i] = h
+            # A flat (M, M) matrix broadcasts over the one bin.
+            self._bel[row, :, i] = cmap[ap]
         self._bel_versions[row] = version
         if epoch is not None:
             self._row_epochs[row] = epoch
         return row
 
-    def _gather(self, groups: Sequence[Group]) -> Tuple[np.ndarray, List[Tuple[int, ...]]]:
-        """Client-major ``(G, 3, 3, M, M)`` believed rows plus version keys.
+    def _plan(self, groups: Sequence[Group]) -> Plan:
+        """Gather ``groups``' believed rows and version keys.
 
-        ``bel[g, j, i]`` is the channel from ``aps[i]`` to ``groups[g][j]``;
-        the solver wants ``h[g, i, j]``, the ``np.swapaxes(bel, 1, 2)``
-        view (the solver's gufuncs buffer per slice, so a view is fine).
+        Sync each distinct client once, in first-appearance order:
+        ``_sync`` is idempotent between source mutations, so this is
+        observationally identical to calling it per (group, member).
         """
-        # Sync each distinct client once per probe, in first-appearance
-        # order: _sync is idempotent between source mutations, so this is
-        # observationally identical to calling it per (group, member).
         sync = self._sync
         memo = {c: sync(c) for c in dict.fromkeys(c for g in groups for c in g)}
         rows = np.array([[memo[c] for c in g] for g in groups])
         versions = [tuple(v) for v in self._bel_versions[rows].tolist()]
-        return self._bel[rows], versions
+        band = self._bel[rows]
+        n_bins = band.shape[2]
+        if self.alignment == "flat_anchor" and n_bins > 1:
+            anchor = n_bins // 2
+            return Plan(groups, versions, band, band[:, :, anchor:anchor + 1])
+        return Plan(groups, versions, band, band)
 
     # ------------------------- plan / install ------------------------- #
 
-    def plan(
-        self, groups: Sequence[Group]
-    ) -> "Tuple[List[Group], np.ndarray, List[Tuple[int, ...]]] | None":
+    def plan(self, groups: Sequence[Group]) -> "Plan | None":
         """The solve a probe of ``groups`` needs, or ``None`` if it needs none.
 
-        Returns ``(missing, bel, versions)``: the distinct groups
-        :meth:`evaluate_many` would solve (in its order), their believed
-        rows from :meth:`_gather`, and their version keys.  Nothing is
-        counted.  A driver stacks plans of many evaluators into one
+        The :class:`Plan` of the distinct groups :meth:`evaluate_many`
+        would solve (in its order).  Nothing is counted.  A driver stacks
+        the ``rows`` of many evaluators' plans into one
         :func:`~repro.engine.batched.solve_downlink_three_batch` call (the
         solver is batch-invariant, so each group's outputs do not depend
         on its batch-mates), then hands each slice to :meth:`install`.
-        Banded sources never plan: they return ``None`` and solve alone.
         """
         missing: List[Group] = []
         for group in dict.fromkeys(tuple(g) for g in groups):
             if len(group) == GROUP_SIZE and self._lookup(group) is None:
                 missing.append(group)
-        if not missing or not self.flat_capable(missing[0][0]):
+        if not missing:
             return None
-        bel, versions = self._gather(missing)
-        return missing, bel, versions
+        return self._plan(missing)
 
     def install(
         self,
-        groups: Sequence[Group],
-        versions: Sequence[Tuple[int, ...]],
+        plan: Plan,
         solved: Sequence[np.ndarray],
         presolved: bool = False,
     ) -> None:
-        """Cache the solver outputs ``solved`` for ``groups``.
+        """Cache the solver outputs ``solved`` of ``plan.rows``.
 
+        ``solved`` is the ``(encodings, rates, sinrs, filters)`` of
+        :func:`~repro.engine.batched.solve_downlink_three_batch` with
+        ``return_filters=True``, one row per (group, solved bin).  A
+        flat-anchor plan's anchor solutions are scored here on every bin
+        of the band.  The group's rate is its per-bin sum rate averaged
+        over the band (b/s/Hz, comparable across bin counts).
         ``presolved`` marks groups installed ahead of the probe that
-        scores them, so that probe counts them as misses.  Banded solves
-        carry no believed-design filters (``w_bel`` is ``None``).
+        scores them, so that probe counts them as misses.
         """
         encodings, rates, sinrs, w_bel = solved
+        n_groups, _, n_bins = plan.band.shape[:3]
+        m = encodings.shape[-1]
+        if plan.rows is not plan.band:
+            # Flat anchor: the anchor's encodings, scored on every bin.
+            encodings = np.repeat(encodings, n_bins, axis=0)
+            sinrs, w_bel = downlink_sinrs_batch(
+                solver_rows(plan.band), encodings, self.noise_power,
+                return_filters=True,
+            )
+            rates = np.log2(1.0 + sinrs).sum(axis=-1)
+        encodings = encodings.reshape(n_groups, n_bins, GROUP_SIZE, m)
+        sinrs = sinrs.reshape(n_groups, n_bins, GROUP_SIZE)
+        w_bel = w_bel.reshape(n_groups, n_bins, GROUP_SIZE, m)
+        if n_bins > 1:  # a one-bin mean is the bin's rate itself
+            rates = rates.reshape(n_groups, n_bins).mean(axis=-1)
         epoch = getattr(self.source, "version_epoch", -1)
-        for g, group in enumerate(groups):
+        for g, group in enumerate(plan.groups):
             self._cache[group] = _CacheEntry(
-                versions=versions[g],
+                versions=plan.versions[g],
                 rate=float(rates[g]),
                 encodings=encodings[g],
                 sinrs=sinrs[g],
-                w_bel=None if w_bel is None else w_bel[g],
+                w_bel=w_bel[g],
                 validated_epoch=epoch,
             )
         if presolved:
-            self._presolved.update(groups)
-
-    def transmit_filters(self, group: Group) -> Tuple[np.ndarray, np.ndarray]:
-        """The memoised ``(3, M)`` encodings and believed-design filters.
-
-        What a transmit decode of ``group`` needs from the solve (the
-        selector just scored it, so this is a cache hit).  The columnar
-        slot path gathers the true channels itself and decodes every
-        aligned slot of a run in one
-        :func:`~repro.engine.batched.downlink_transmit_sinrs_cached` call
-        (:func:`repro.sim.columnar.transmit_wave`).  Flat sources only.
-        """
-        entry = self._cached_entry(tuple(group))
-        return entry.encodings, entry.w_bel
+            self._presolved.update(plan.groups)

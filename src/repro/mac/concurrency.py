@@ -236,21 +236,17 @@ class BestOfTwo(ConcurrencySelector):
         return best_group
 
 
-#: Every ``algorithm`` name :func:`make_selector` accepts, aliases included.
+#: Every ``algorithm`` name :func:`make_selector` accepts, one per selector.
 SELECTORS: Dict[str, type] = {
     "fifo": FifoGrouping,
     "brute": BruteForce,
-    "brute-force": BruteForce,
-    "bruteforce": BruteForce,
     "best2": BestOfTwo,
-    "best-of-two": BestOfTwo,
-    "bestoftwo": BestOfTwo,
 }
 
 
 def make_selector(name: str, group_size: int = 3, rng=None) -> ConcurrencySelector:
     """Factory used by experiments: a :data:`SELECTORS` name (``"fifo"``,
-    ``"brute"``, ``"best2"`` or an alias)."""
+    ``"brute"`` or ``"best2"``)."""
     cls = SELECTORS.get(name)
     if cls is None:
         raise ValueError(

@@ -9,7 +9,10 @@ per evaluated OFDM subcarrier — and a narrowband channel is simply the
 ``n_bins == 1`` special case.  That single design move is what lets the
 paper's §6c conjecture (align independently per subcarrier on
 frequency-selective channels) run through the *entire* stack rather
-than only the isolated :mod:`repro.core.ofdm_alignment` ablation.
+than only the isolated :mod:`repro.core.ofdm_alignment` ablation: the
+group evaluator (:mod:`repro.engine.evaluator`) mirrors every link as a
+bin stack and solves each bin as one row of a single solver batch, so
+flat and wideband cells take one route.
 
 Two implementations ship:
 
@@ -233,8 +236,8 @@ class WidebandFadingNetwork(PairedFadingNetwork):
     ``channel_bins`` returns the link's frequency response at the
     provider's fixed evaluation grid (``n_bins`` evenly-spaced
     subcarriers of an ``n_fft``-point OFDM system) — the stacked
-    ``(n_bins, n_rx, n_tx)`` band the engine's subcarrier-batched solver
-    consumes.  Over-the-air reciprocity holds per bin.
+    ``(n_bins, n_rx, n_tx)`` band the group evaluator mirrors, one solver
+    row per bin.  Over-the-air reciprocity holds per bin.
 
     With ``delay_spread == 0`` (or ``n_taps == 1``) only tap 0 carries
     power and every bin equals that tap: the network is then a flat

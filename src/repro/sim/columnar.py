@@ -93,6 +93,7 @@ from repro.engine.batched import (
     downlink_transmit_sinrs_cached,
     solve_downlink_three_batch,
 )
+from repro.engine.evaluator import solver_rows
 from repro.mac.association import ChannelUpdate
 from repro.phy.channel.estimation import frobenius_norms
 from repro.phy.channel.provider import ChannelProvider
@@ -512,14 +513,14 @@ def solve_wave(paused) -> None:
 
     ``paused`` holds ``(stepper, pending)`` pairs of slots paused after
     the selector's ``propose``, one per cell of a shard (cells of one
-    shard share the antenna count and noise power).  Each cell's
+    shard share the antenna count and the noise power).  Each cell's
     :class:`~repro.engine.BatchedGroupEvaluator` plans the groups its
-    ``resolve`` would solve (gathered from its believed-channel mirror);
-    the plans are stacked into one
-    :func:`solve_downlink_three_batch` call, and each slice goes back
-    into its own evaluator's cache.  The solver is batch-invariant, so
-    every cache entry is the one the cell would have solved alone, and
-    ``resolve`` then finds every group cached.
+    ``resolve`` would solve (gathered from its believed-channel mirror,
+    every bin of a wideband cell a row of its own); the plans' rows are
+    stacked into one :func:`solve_downlink_three_batch` call, and each
+    slice goes back into its own evaluator's cache.  The solver is
+    batch-invariant, so every cache entry is the one the cell would have
+    solved alone, and ``resolve`` then finds every group cached.
     """
     plans = []
     for stepper, pending in paused:
@@ -530,17 +531,18 @@ def solve_wave(paused) -> None:
     if not plans:
         return
     # A one-cell wave (every slot of a one-cell run) hands its gathered
-    # rows over as they are.
-    bel = plans[0][1][1] if len(plans) == 1 else np.concatenate([p[1] for _, p in plans])
+    # rows over as they are.  Cells may differ in bin count and alignment
+    # mode, so a pooled wave stacks rows in the solver's layout.
+    rows = [solver_rows(plan.rows) for _, plan in plans]
     solved = solve_downlink_three_batch(
-        np.swapaxes(bel, 1, 2), plans[0][0].noise_power, return_filters=True
+        rows[0] if len(rows) == 1 else np.concatenate(rows),
+        plans[0][0].noise_power, return_filters=True,
     )
     start = 0
-    for evaluator, (missing, _, versions) in plans:
-        stop = start + len(missing)
+    for (evaluator, plan), cell_rows in zip(plans, rows):
+        stop = start + len(cell_rows)
         evaluator.install(
-            missing, versions, [out[start:stop] for out in solved],
-            presolved=True,
+            plan, [out[start:stop] for out in solved], presolved=True
         )
         start = stop
 
@@ -571,7 +573,8 @@ def transmit_entry(stepper, pending: _Pending) -> tuple:
     cols = [sim._row[c] for c in group]
     h_true = sim.fading.stack[stepper.row_ca[cols, :3].T]
     encodings, filters = sim.evaluator.transmit_filters(group)
-    return sim, group, pending.rates, h_true, encodings, filters
+    # A fast-track cell is flat: its one bin.
+    return sim, group, pending.rates, h_true, encodings[0], filters[0]
 
 
 def p2p_wave(pool: List[tuple]) -> None:

@@ -74,6 +74,49 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
         },
         "n_slots": 40,
     },
+    # ``wlan_fast_wideband`` runs at zero delay spread (every bin is the
+    # same matrix); these three run a dispersive band, where the bins
+    # differ and the two alignment modes part ways.
+    "wlan_fast_wideband_dispersive": {
+        "config": {
+            "n_clients": 8,
+            "rho": 0.99,
+            "seed": 11,
+            "engine": "fast",
+            "channel": "wideband",
+            "n_bins": 4,
+            "n_taps": 4,
+            "delay_spread": 1.0,
+        },
+        "n_slots": 40,
+    },
+    "wlan_fast_wideband_dispersive_anchor": {
+        "config": {
+            "n_clients": 8,
+            "rho": 0.99,
+            "seed": 11,
+            "engine": "fast",
+            "channel": "wideband",
+            "n_bins": 4,
+            "n_taps": 4,
+            "delay_spread": 1.0,
+            "alignment": "flat_anchor",
+        },
+        "n_slots": 40,
+    },
+    "wlan_reference_wideband_dispersive": {
+        "config": {
+            "n_clients": 8,
+            "rho": 0.99,
+            "seed": 11,
+            "engine": "reference",
+            "channel": "wideband",
+            "n_bins": 4,
+            "n_taps": 4,
+            "delay_spread": 1.0,
+        },
+        "n_slots": 40,
+    },
     "wlan_fast_sparse_poisson": {
         "config": {
             "n_clients": 8,

@@ -49,7 +49,7 @@ from typing import Any, Collection, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.baselines.dot11_mimo import best_ap_link
-from repro.core.plans import BandedChannelSet, ChannelSet
+from repro.core.plans import ChannelSet
 from repro.engine.evaluator import ALIGNMENT_MODES, BatchedGroupEvaluator
 from repro.faults import FaultInjector, FaultPlan
 from repro.mac.association import (
@@ -426,7 +426,7 @@ class WLANSimulation:
                 f"unknown channel substrate {config.channel!r} "
                 f"(expected one of {WLAN_CHANNELS})"
             )
-        #: Whether sounding/tracking/solving carry per-subcarrier bands.
+        #: Whether soundings and drift reports carry per-subcarrier bands.
         self._banded = self.fading.n_bins > 1
 
         leader_id = elect_leader(self.ap_ids)
@@ -613,18 +613,16 @@ class WLANSimulation:
             for a, subordinate in zip(aps, subordinates):
                 subordinate.associate(c, estimates[a])
 
-    def _true_channels(self, group: Tuple[int, ...]):
-        if self._banded:
-            return BandedChannelSet(
-                {
-                    (a, c): self.fading.channel_bins(a, c)
-                    for a in self.ap_ids
-                    for c in group
-                }
-            )
-        return ChannelSet(
-            {(a, c): self.fading.channel(a, c) for a in self.ap_ids for c in group}
-        )
+    def _true_channels(self, group: Tuple[int, ...]) -> np.ndarray:
+        """The ``(B, 3, 3, M, M)`` true band of ``group``: ``[b, i, j]``
+        is bin ``b`` from transmit AP ``i`` to ``group[j]``."""
+        aps = self.evaluator.aps
+        m = self.config.n_antennas
+        h = np.empty((self.fading.n_bins, len(aps), len(group), m, m), dtype=complex)
+        for i, a in enumerate(aps):
+            for j, c in enumerate(group):
+                h[:, i, j] = self.fading.channel_bins(a, c)
+        return h
 
     def _transmit_group(self, group: Tuple[int, ...]) -> Dict[int, float]:
         """Solve with believed channels, decode against the true ones."""
@@ -646,11 +644,9 @@ class WLANSimulation:
         self.stats.staleness_loss_db += max(
             0.0, 10 * np.log10((1 + ideal.min()) / (1 + actual.min()))
         )
-        if actual.ndim == 1:
-            return {c: float(np.log2(1.0 + actual[i])) for i, c in enumerate(group)}
-        # Banded: per-client goodput is the band-averaged spectral
-        # efficiency — the sum over evaluated subcarriers divided by the
-        # band width, so flat and wideband rates stay comparable.
+        # Per-client goodput is the band-averaged spectral efficiency —
+        # the sum over evaluated subcarriers divided by the band width,
+        # so flat (one-bin) and wideband rates stay comparable.
         return {
             c: float(np.mean(np.log2(1.0 + actual[:, i])))
             for i, c in enumerate(group)
@@ -662,34 +658,21 @@ class WLANSimulation:
         With too few clients to align, the leader falls back to plain
         802.11 service of the head-of-queue client at its best AP's
         eigenmode rate over the *true* current channels — the same
-        degenerate-group rule the Fig.-15 rate cache applies.  Wideband
-        deployments average the per-subcarrier eigenmode rate over the
-        evaluated band.
+        degenerate-group rule the Fig.-15 rate cache applies — averaged
+        over the evaluated band (one bin on a flat channel).
         """
-        if self._banded:
-            bands = {a: self.fading.channel_bins(a, client) for a in self.ap_ids}
-            rates = []
-            for b in range(self.fading.n_bins):
-                channels = ChannelSet(
-                    {(a, client): bands[a][b] for a in self.ap_ids}
-                )
-                rates.append(
-                    self._derate(
-                        best_ap_link(
-                            channels, client, self.ap_ids,
-                            noise_power=1.0, direction="downlink",
-                        ).rate,
-                        client,
-                    )
-                )
-            return {client: float(np.mean(rates))}
-        channels = ChannelSet(
-            {(a, client): self.fading.channel(a, client) for a in self.ap_ids}
-        )
-        rate = best_ap_link(
-            channels, client, self.ap_ids, noise_power=1.0, direction="downlink"
-        ).rate
-        return {client: self._derate(rate, client)}
+        bands = {a: self.fading.channel_bins(a, client) for a in self.ap_ids}
+        rates = [
+            self._derate(
+                best_ap_link(
+                    ChannelSet({(a, client): bands[a][b] for a in self.ap_ids}),
+                    client, self.ap_ids, noise_power=1.0, direction="downlink",
+                ).rate,
+                client,
+            )
+            for b in range(self.fading.n_bins)
+        ]
+        return {client: float(np.mean(rates))}
 
     def _track_channels(self, slot: int) -> None:
         """Clients ack; every AP re-estimates and reports drift (§7.1(c)).

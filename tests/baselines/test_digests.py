@@ -39,6 +39,10 @@ class TestGoldenCorpus:
             baseline["wlan_reference_saturated"]
             == baseline["wlan_fast_saturated"]
         )
+        assert (
+            baseline["wlan_reference_wideband_dispersive"]
+            == baseline["wlan_fast_wideband_dispersive"]
+        )
 
     def test_compare_reports_drift_and_staleness(self):
         computed = {"a": "1", "b": "2"}

@@ -1,21 +1,17 @@
-"""Equivalence tests for the subcarrier-batched (banded) engine.
+"""Equivalence tests for the evaluator on banded (wideband) sources.
 
-The acceptance contract of the wideband layer: the band-batched solver
-must match the per-bin scalar reference loop to <= 1e-6 dB SINR across
-2-4 antennas, and the ``B = 1`` route must be the flat path itself.
+The acceptance contract of the wideband layer: the evaluator's one
+route, every bin a row of the solver batch, must match the per-bin
+scalar reference loop to <= 1e-6 dB SINR across 2-4 antennas, and a
+one-bin band must be the flat probe itself.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.plans import BandedChannelSet, ChannelSet
-from repro.engine import (
-    BatchedGroupEvaluator,
-    downlink_sinrs_band,
-    solve_downlink_three_band,
-    solve_downlink_three_batch,
-    stack_downlink_channels_band,
-)
+from repro.core.plans import ChannelSet
+from repro.engine import BatchedGroupEvaluator
+from repro.engine.evaluator import solver_rows
 from repro.phy.channel.selective import MultiTapChannel, exponential_pdp
 
 from reference.evaluator import ScalarGroupEvaluator, StaticChannelSource
@@ -39,7 +35,15 @@ def banded_channels(seed, n_antennas=2, n_bins=8, delay_spread=2.0, clients=CLIE
         for c in clients:
             ch = MultiTapChannel.random(n_antennas, n_antennas, pdp, rng)
             out[(a, c)] = ch.frequency_response(N_FFT)[bins]
-    return BandedChannelSet(out)
+    return out
+
+
+def true_band(channels, group=GROUP):
+    """The ``(B, 3, 3, M, M)`` true band of ``group`` (``[b, i, j]``: bin
+    ``b`` from AP ``i`` to client ``group[j]``)."""
+    return np.ascontiguousarray(
+        np.array([[channels[(a, c)] for c in group] for a in APS]).transpose(2, 0, 1, 3, 4)
+    )
 
 
 def make_pair(seed, n_antennas=2, alignment="per_subcarrier", n_bins=8):
@@ -69,7 +73,7 @@ class TestBandSolverEquivalence:
     def test_transmit_sinrs_within_acceptance_bound(self, n_antennas):
         """Per-bin per-packet SINRs agree to <= 1e-6 dB (satellite)."""
         scalar, batched = make_pair(7, n_antennas)
-        true = banded_channels(17, n_antennas, clients=GROUP)
+        true = true_band(banded_channels(17, n_antennas, clients=GROUP))
         actual_s, ideal_s = scalar.transmit_sinrs(GROUP, true)
         actual_b, ideal_b = batched.transmit_sinrs(GROUP, true)
         assert actual_s.shape == (8, 3)
@@ -82,7 +86,7 @@ class TestBandSolverEquivalence:
         assert np.isclose(
             batched.evaluate(GROUP), scalar.evaluate(GROUP), rtol=1e-9
         )
-        true = banded_channels(23, n_antennas, clients=GROUP)
+        true = true_band(banded_channels(23, n_antennas, clients=GROUP))
         actual_s, _ = scalar.transmit_sinrs(GROUP, true)
         actual_b, _ = batched.transmit_sinrs(GROUP, true)
         assert np.max(np.abs(db(actual_s) - db(actual_b))) <= MAX_DB
@@ -106,42 +110,33 @@ class TestBandSolverEquivalence:
 
 
 class TestFlatRoutePreserved:
-    def test_one_bin_band_solve_is_bit_identical_to_flat(self):
-        """B = 1 through the band solver == the flat batch, bit for bit."""
+    def test_one_bin_rows_are_a_view_in_the_flat_layout(self):
+        """B = 1: the solver gets the client-major gather as a view, with
+        the strides of the flat probe's ``swapaxes(1, 2)`` view."""
         rng = np.random.default_rng(4)
-        h = rng.standard_normal((5, 3, 3, 2, 2)) + 1j * rng.standard_normal((5, 3, 3, 2, 2))
-        v_flat, r_flat, s_flat = solve_downlink_three_batch(h)
-        v_band, r_band, s_band = solve_downlink_three_band(h[:, None])
-        assert np.array_equal(v_flat, v_band[:, 0])
-        assert np.array_equal(r_flat, r_band[:, 0])
-        assert np.array_equal(s_flat, s_band[:, 0])
-
-    def test_one_bin_source_takes_the_flat_evaluator_path(self):
-        """A banded set with one bin produces flat (3, M) cache entries —
-        the literal pre-wideband computation."""
-        src = StaticChannelSource(banded_channels(2, n_bins=1), APS)
-        batched = BatchedGroupEvaluator(src, APS)
-        batched.evaluate(GROUP)
-        entry = batched._cache[GROUP]
-        assert entry.encodings.shape == (3, 2)
-        assert entry.sinrs.shape == (3,)
-
-    def test_band_stack_accepts_flat_maps(self):
-        flat = ChannelSet(
-            {
-                (a, c): banded_channels(0).h_bins(a, c)[0]
-                for a in APS
-                for c in GROUP
-            }
+        bel = rng.standard_normal((5, 3, 1, 3, 2, 2)) + 1j * rng.standard_normal(
+            (5, 3, 1, 3, 2, 2)
         )
-        maps = {c: {a: flat.h(a, c) for a in APS} for c in GROUP}
-        band = stack_downlink_channels_band([GROUP], maps, APS)
-        assert band.shape[:2] == (1, 1)
-        h = np.empty((1, 3, 3, 2, 2), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                h[0, i, j] = maps[GROUP[j]][APS[i]]
-        assert np.array_equal(band[:, 0], h)
+        h = solver_rows(bel)
+        flat = np.swapaxes(bel[:, :, 0], 1, 2)
+        assert np.shares_memory(h, bel)
+        assert h.shape == flat.shape and h.strides == flat.strides
+        assert np.array_equal(h, flat)
+
+    def test_one_bin_source_is_the_flat_source(self):
+        """A one-bin banded source and the flat matrices it holds give
+        byte-identical rates and cache entries."""
+        band = banded_channels(2, n_bins=1)
+        flat = ChannelSet({pair: h[0] for pair, h in band.items()})
+        entries = []
+        for channels in (band, flat):
+            batched = BatchedGroupEvaluator(StaticChannelSource(channels, APS), APS)
+            entries.append((batched.evaluate(GROUP), batched._cache[GROUP]))
+        (rate_b, entry_b), (rate_f, entry_f) = entries
+        assert rate_b == rate_f
+        assert entry_f.encodings.shape == (1, 3, 2)
+        for name in ("encodings", "sinrs", "w_bel"):
+            assert np.array_equal(getattr(entry_b, name), getattr(entry_f, name))
 
 
 class TestBandedInterface:
@@ -156,12 +151,12 @@ class TestBandedInterface:
         with pytest.raises(ValueError):
             BatchedGroupEvaluator(src, APS, alignment="oracle")
 
-    def test_downlink_sinrs_band_broadcasts_anchor_encodings(self):
+    def test_flat_anchor_entry_holds_the_anchor_on_every_bin(self):
         src = StaticChannelSource(banded_channels(6), APS)
         batched = BatchedGroupEvaluator(src, APS, alignment="flat_anchor")
         batched.evaluate(GROUP)
         entry = batched._cache[GROUP]
-        maps = {c: src.channel_map(c) for c in GROUP}
-        h = stack_downlink_channels_band([GROUP], maps, APS)
-        sinrs = downlink_sinrs_band(h, entry.encodings[None, None], 1.0)
-        assert sinrs.shape == (1, 8, 3)
+        assert entry.encodings.shape == (8, 3, 2)
+        assert entry.sinrs.shape == (8, 3)
+        assert entry.w_bel.shape == (8, 3, 2)
+        assert (entry.encodings == entry.encodings[4]).all()

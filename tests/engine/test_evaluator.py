@@ -39,6 +39,11 @@ def downlink_channels(seed, n_antennas=2, clients=CLIENTS):
     )
 
 
+def true_band(channels, group=GROUP):
+    """The ``(1, 3, 3, M, M)`` one-bin true band of ``group``."""
+    return np.array([[[channels.h(a, c) for c in group] for a in APS]])
+
+
 def make_pair(seed, n_antennas=2):
     source = StaticChannelSource(downlink_channels(seed, n_antennas), APS)
     return (
@@ -84,9 +89,10 @@ class TestNumericalEquivalence:
         """Stale-estimate transmission: same actual and genie SINRs."""
         scalar, batched = make_pair(5)
         rng = np.random.default_rng(99)
-        true = downlink_channels(5, clients=GROUP).perturbed(0.2, rng)
+        true = true_band(downlink_channels(5, clients=GROUP).perturbed(0.2, rng))
         actual_s, ideal_s = scalar.transmit_sinrs(GROUP, true)
         actual_b, ideal_b = batched.transmit_sinrs(GROUP, true)
+        assert actual_b.shape == ideal_b.shape == (1, 3)
         np.testing.assert_allclose(actual_b, actual_s, **TIGHT)
         np.testing.assert_allclose(ideal_b, ideal_s, **TIGHT)
 
@@ -184,7 +190,7 @@ class TestInterface:
     def test_short_group_cannot_be_solved(self):
         _, batched = make_pair(0)
         with pytest.raises(ValueError, match="3 clients"):
-            batched.transmit_sinrs((100, 101), downlink_channels(0))
+            batched.transmit_sinrs((100, 101), true_band(downlink_channels(0)))
 
     def test_needs_three_aps(self):
         source = StaticChannelSource(downlink_channels(0), APS)

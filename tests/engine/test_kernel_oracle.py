@@ -8,8 +8,10 @@ desired and interference directions apart and ran the max-SINR design
 and the post-projection SINR in separate passes.  Every digest of the
 simulator rests on the two agreeing byte for byte, so every output is
 compared with ``np.array_equal`` (NaN-free draws) and its dtype: the
-flat solver with and without filters, the per-subcarrier band route,
-the flat-anchor rescoring, and both transmit decodes.
+flat solver with and without filters, the transmit decode, and the
+evaluator's one route on a band, which lays every bin out as a row of
+the flat solver's batch: its per-subcarrier solve, flat-anchor rescoring
+and cached-filter transmit decode against the frozen band oracles.
 
 The oracle calls numpy's public wrappers (``np.linalg.inv``/``eig``/
 ``solve``, ``np.einsum``) where the source calls the underlying gufuncs,
@@ -22,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.batched import (
-    downlink_sinrs_band,
-    downlink_transmit_sinrs_band,
     downlink_transmit_sinrs_cached,
-    solve_downlink_three_band,
     solve_downlink_three_batch,
 )
+from repro.engine.evaluator import BatchedGroupEvaluator
+
+from reference.evaluator import StaticChannelSource
 
 # --------------------------------------------------------------------- #
 # Frozen oracle: the kernel as it stood before the fused scorer.
@@ -195,17 +197,46 @@ def test_flat_solver_matches_the_oracle(g, m, filters, noise, seed):
     _assert_same(got, want)
 
 
+def _band_evaluator(h, noise, alignment):
+    """An evaluator over the band batch ``h`` (``(G, B, 3, 3, M, M)``,
+    ``h[g, :, i, j]`` AP ``i`` to client ``j`` of group ``g``) and the
+    groups it holds: group ``g`` is clients ``3g, 3g + 1, 3g + 2``."""
+    groups = [(3 * g, 3 * g + 1, 3 * g + 2) for g in range(h.shape[0])]
+    channels = {
+        (i, client): h[g, :, i, j]
+        for g, group in enumerate(groups)
+        for j, client in enumerate(group)
+        for i in range(3)
+    }
+    source = StaticChannelSource(channels, (0, 1, 2))
+    return BatchedGroupEvaluator(source, (0, 1, 2), noise, alignment), groups
+
+
+def _entries(evaluator, groups):
+    entries = [evaluator._cache[group] for group in groups]
+    return [np.array([getattr(e, name) for e in entries])
+            for name in ("encodings", "sinrs")]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(g=st.integers(1, 16), b=st.integers(1, 6), m=st.sampled_from([2, 3, 4]),
        noise=_noise, seed=st.integers(0, 2**32 - 1))
 def test_band_route_matches_the_oracle(g, b, m, noise, seed):
     h = _channels(np.random.default_rng(seed), (g, b, 3, 3), m)
-    _assert_same(solve_downlink_three_band(h, noise),
-                 oracle_solve_downlink_three_band(h, noise))
+    # Per-subcarrier mode: every bin solved on its own.
+    evaluator, groups = _band_evaluator(h, noise, "per_subcarrier")
+    rates = evaluator.evaluate_many(groups)
+    v, _, sinrs = oracle_solve_downlink_three_band(h, noise)
+    _assert_same(_entries(evaluator, groups), [v, sinrs])
+    assert rates == np.log2(1.0 + sinrs).sum(axis=-1).mean(axis=-1).tolist()
     # Flat-anchor mode: the anchor bin's encodings rescored on every bin.
+    evaluator, groups = _band_evaluator(h, noise, "flat_anchor")
+    rates = evaluator.evaluate_many(groups)
     v = oracle_solve_downlink_three_batch(h[:, b // 2], noise)[0][:, None]
-    _assert_same([downlink_sinrs_band(h, v, noise)],
-                 [oracle_downlink_sinrs_band(h, v, noise)])
+    sinrs = oracle_downlink_sinrs_band(h, v, noise)
+    _assert_same(_entries(evaluator, groups),
+                 [np.broadcast_to(v, (g, b, 3, m)), sinrs])
+    assert rates == np.log2(1.0 + sinrs).sum(axis=-1).mean(axis=-1).tolist()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -230,10 +261,13 @@ def test_band_transmit_decode_matches_the_oracle(b, m, anchor, noise, seed):
     rng = np.random.default_rng(seed)
     h_bel = _channels(rng, (b, 3, 3), m)
     h_true = h_bel + 0.1 * _channels(rng, (b, 3, 3), m)
+    evaluator, (group,) = _band_evaluator(
+        h_bel[None], noise, "flat_anchor" if anchor else "per_subcarrier"
+    )
     v = oracle_solve_downlink_three_band(h_bel[None], noise)[0][0]
     if anchor:
         v = v[b // 2][None]
-    _assert_same(downlink_transmit_sinrs_band(h_true, h_bel, v, noise),
+    _assert_same(evaluator.transmit_sinrs(group, h_true),
                  oracle_downlink_transmit_sinrs_band(h_true, h_bel, v, noise))
 
 

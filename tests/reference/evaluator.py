@@ -2,13 +2,13 @@
 
 :class:`ScalarGroupEvaluator` is the pre-engine path: one
 :func:`~repro.core.alignment.solve_downlink_three_packets` +
-:func:`~repro.core.decoder.decode_rate_level` per probed group, exactly
-what ``WLANSimulation`` inlined before :mod:`repro.engine` existed.  It
-has the interface of :class:`repro.engine.BatchedGroupEvaluator` that a
-simulation calls (``evaluate_many``/``evaluate``/``transmit_sinrs``), so
-a test can swap it into a ``reference``-engine simulation.
-:class:`StaticChannelSource` serves a frozen channel set to either
-evaluator.
+:func:`~repro.core.decoder.decode_rate_level` per probed group and
+subcarrier, exactly what ``WLANSimulation`` inlined before
+:mod:`repro.engine` existed.  It has the interface of
+:class:`repro.engine.BatchedGroupEvaluator` that a simulation calls
+(``evaluate_many``/``evaluate``/``transmit_sinrs``), so a test can swap
+it into a ``reference``-engine simulation.  :class:`StaticChannelSource`
+serves a frozen channel table to either evaluator.
 """
 
 from __future__ import annotations
@@ -19,59 +19,51 @@ import numpy as np
 
 from repro.core.alignment import solve_downlink_three_packets
 from repro.core.decoder import decode_rate_level
-from repro.core.plans import AlignmentSolution, BandedChannelSet, ChannelSet
+from repro.core.plans import AlignmentSolution, ChannelSet
 from repro.engine import ALIGNMENT_MODES
 from repro.engine.batched import GROUP_SIZE
 
 Group = Tuple[int, ...]
 
 
-def _map_n_bins(channel_maps: Mapping[int, Mapping[int, np.ndarray]]) -> int:
-    """Bin count of a believed channel map (1 when entries are flat)."""
-    first = np.asarray(next(iter(next(iter(channel_maps.values())).values())))
-    return first.shape[0] if first.ndim == 3 else 1
-
-
-def _flatten_one_bin(
-    channel_maps: Mapping[int, Mapping[int, np.ndarray]]
-) -> Dict[int, Dict[int, np.ndarray]]:
-    """Squeeze ``(1, M, M)`` one-bin stacks to flat matrices, so a one-bin
-    banded source runs the literal flat (pre-wideband) route."""
-    out: Dict[int, Dict[int, np.ndarray]] = {}
-    for c, cmap in channel_maps.items():
-        flat = {}
-        for ap, h in cmap.items():
-            h = np.asarray(h)
-            flat[ap] = h[0] if h.ndim == 3 else h
-        out[c] = flat
-    return out
-
-
 class StaticChannelSource:
-    """A frozen :class:`ChannelSet` or :class:`BandedChannelSet`
-    (downlink ``(ap, client)`` keys) as an evaluator's channel source."""
+    """A frozen downlink channel table as an evaluator's channel source:
+    a flat :class:`ChannelSet`, or a plain ``{(ap, client): (B, M, M)}``
+    dict of per-subcarrier stacks."""
 
     def __init__(self, channels, aps: Sequence[int]):
         self._channels = channels
         self._aps = tuple(aps)
 
     def channel_map(self, client_id: int) -> Dict[int, np.ndarray]:
-        if isinstance(self._channels, BandedChannelSet):
-            return {ap: self._channels.h_bins(ap, client_id) for ap in self._aps}
-        return {ap: self._channels.h(ap, client_id) for ap in self._aps}
+        if isinstance(self._channels, ChannelSet):
+            return {ap: self._channels.h(ap, client_id) for ap in self._aps}
+        return {ap: self._channels[(ap, client_id)] for ap in self._aps}
 
     def channel_version(self, client_id: int) -> int:
         return 0
 
 
-class ScalarGroupEvaluator:
-    """Re-solve every probe from scratch.
+def _bins(channels: Mapping[Tuple[int, int], np.ndarray]) -> List[ChannelSet]:
+    """One flat :class:`ChannelSet` per subcarrier of a ``{pair: H}`` table
+    (a flat ``(M, M)`` entry is a one-bin band)."""
+    stacks = {
+        pair: h if h.ndim == 3 else h[None]
+        for pair, h in ((pair, np.asarray(h)) for pair, h in channels.items())
+    }
+    n_bins = next(iter(stacks.values())).shape[0]
+    return [
+        ChannelSet({pair: h[b] for pair, h in stacks.items()}) for b in range(n_bins)
+    ]
 
-    On a banded (wideband) channel source this is the **per-bin scalar
-    loop**: every evaluated subcarrier is treated as its own flat
-    problem — one :func:`solve_downlink_three_packets` +
-    :func:`decode_rate_level` per bin — against which the
-    subcarrier-batched engine is equivalence-tested.
+
+class ScalarGroupEvaluator:
+    """Re-solve every probe from scratch, one subcarrier at a time.
+
+    Every evaluated subcarrier is its own flat problem — one
+    :func:`solve_downlink_three_packets` + :func:`decode_rate_level` per
+    bin (a flat source is one bin) — against which the batched engine is
+    equivalence-tested.
     """
 
     def __init__(
@@ -95,44 +87,27 @@ class ScalarGroupEvaluator:
 
     # ------------------------------------------------------------------ #
 
-    def _group_maps(self, group: Group) -> Dict[int, Mapping[int, np.ndarray]]:
-        return {c: self.source.channel_map(c) for c in group}
+    def _believed(self, group: Group) -> List[ChannelSet]:
+        """The per-bin believed channels of ``group``."""
+        return _bins({
+            (ap, c): h
+            for c in group
+            for ap, h in self.source.channel_map(c).items()
+        })
 
-    def _is_banded(self, group: Group) -> bool:
-        return _map_n_bins(self._group_maps(group)) > 1
+    def _solve(self, group: Group, channels: ChannelSet) -> AlignmentSolution:
+        return solve_downlink_three_packets(
+            channels, aps=self.aps, clients=group, noise_power=self.noise_power
+        )
 
-    def _believed(self, group: Group) -> ChannelSet:
-        out = {}
-        for c, cmap in _flatten_one_bin(self._group_maps(group)).items():
-            for ap, h in cmap.items():
-                out[(ap, c)] = h
-        return ChannelSet(out)
-
-    def _believed_band(self, group: Group) -> BandedChannelSet:
-        out = {}
-        for c in group:
-            for ap, h in self.source.channel_map(c).items():
-                out[(ap, c)] = h
-        return BandedChannelSet(out)
-
-    def _band_solutions(
-        self, group: Group, believed: BandedChannelSet
+    def _solutions(
+        self, group: Group, believed: List[ChannelSet]
     ) -> List[AlignmentSolution]:
         """One alignment solution per bin (the anchor's, repeated, in
         flat-anchor mode)."""
         if self.alignment == "flat_anchor":
-            anchor = solve_downlink_three_packets(
-                believed.at_bin(believed.n_bins // 2),
-                aps=self.aps, clients=group, noise_power=self.noise_power,
-            )
-            return [anchor] * believed.n_bins
-        return [
-            solve_downlink_three_packets(
-                believed.at_bin(b),
-                aps=self.aps, clients=group, noise_power=self.noise_power,
-            )
-            for b in range(believed.n_bins)
-        ]
+            return [self._solve(group, believed[len(believed) // 2])] * len(believed)
+        return [self._solve(group, bin_channels) for bin_channels in believed]
 
     # ------------------------------------------------------------------ #
 
@@ -143,73 +118,38 @@ class ScalarGroupEvaluator:
             if len(group) < GROUP_SIZE:
                 rates.append(0.0)
                 continue
-            if self._is_banded(group):
-                believed = self._believed_band(group)
-                solutions = self._band_solutions(group, believed)
-                rates.append(
-                    float(np.mean([
-                        decode_rate_level(
-                            sol, believed.at_bin(b), noise_power=self.noise_power
-                        ).total_rate
-                        for b, sol in enumerate(solutions)
-                    ]))
-                )
-                continue
             believed = self._believed(group)
-            solution = solve_downlink_three_packets(
-                believed, aps=self.aps, clients=group, noise_power=self.noise_power
-            )
-            rates.append(
-                decode_rate_level(solution, believed, noise_power=self.noise_power).total_rate
-            )
+            rates.append(float(np.mean([
+                decode_rate_level(sol, bel, noise_power=self.noise_power).total_rate
+                for sol, bel in zip(self._solutions(group, believed), believed)
+            ])))
         return rates
 
-    def solve(self, group: Group) -> AlignmentSolution:
-        """The flat solution (banded sources: the anchor bin's)."""
-        group = tuple(group)
-        if self._is_banded(group):
-            believed = self._believed_band(group)
-            return solve_downlink_three_packets(
-                believed.at_bin(believed.n_bins // 2),
-                aps=self.aps, clients=group, noise_power=self.noise_power,
-            )
-        return solve_downlink_three_packets(
-            self._believed(group), aps=self.aps, clients=group,
-            noise_power=self.noise_power,
-        )
+    def transmit_sinrs(
+        self, group: Group, h_true: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-bin, per-packet ``(actual, ideal)`` SINRs of transmitting
+        ``group`` over the ``(B, 3, 3, M, M)`` true band ``h_true``
+        (``h_true[b, i, j]``: bin ``b`` from ``aps[i]`` to ``group[j]``).
 
-    def transmit_sinrs(self, group: Group, true_channels) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-packet ``(actual, ideal)`` SINRs of transmitting ``group``.
-
-        ``decode_rate_level`` twice: receive filters designed from the
-        believed channels vs. from the true ones (the genie bound), both
-        measured against ``true_channels``.  With a banded source
-        ``true_channels`` must be a :class:`BandedChannelSet` and the
-        return arrays are ``(B, 3)``, one flat decode per bin.
+        ``decode_rate_level`` twice per bin: receive filters designed from
+        the believed channels vs. from the true ones (the genie bound),
+        both measured against that bin's true channels.
         """
         group = tuple(group)
-        if not self._is_banded(group):
-            believed = self._believed(group)
-            solution = self.solve(group)
-            actual = decode_rate_level(
-                solution, true_channels, self.noise_power, estimated_channels=believed
-            )
-            ideal = decode_rate_level(solution, true_channels, self.noise_power)
-            return (
-                np.array([r.sinr for r in actual.results]),
-                np.array([r.sinr for r in ideal.results]),
-            )
-        believed = self._believed_band(group)
-        solutions = self._band_solutions(group, believed)
-        actual = np.empty((believed.n_bins, GROUP_SIZE))
-        ideal = np.empty((believed.n_bins, GROUP_SIZE))
-        for b, sol in enumerate(solutions):
-            true_b = true_channels.at_bin(b)
+        believed = self._believed(group)
+        true = _bins({
+            (ap, c): h_true[:, i, j]
+            for i, ap in enumerate(self.aps)
+            for j, c in enumerate(group)
+        })
+        actual = np.empty((len(believed), GROUP_SIZE))
+        ideal = np.empty((len(believed), GROUP_SIZE))
+        for b, sol in enumerate(self._solutions(group, believed)):
             report = decode_rate_level(
-                sol, true_b, self.noise_power,
-                estimated_channels=believed.at_bin(b),
+                sol, true[b], self.noise_power, estimated_channels=believed[b]
             )
-            genie = decode_rate_level(sol, true_b, self.noise_power)
+            genie = decode_rate_level(sol, true[b], self.noise_power)
             actual[b] = [r.sinr for r in report.results]
             ideal[b] = [r.sinr for r in genie.results]
         return actual, ideal

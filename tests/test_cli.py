@@ -183,6 +183,16 @@ class TestRegistryCLI:
         assert "traffic must be one of" in capsys.readouterr().err
         assert not store.exists()
 
+    def test_sweep_rejects_a_second_spelling_of_a_selector(self, capsys, tmp_path):
+        # best-of-two used to run as a second best2 row with its own seed
+        # noise, read as an algorithm effect.
+        store = tmp_path / "a.json"
+        assert main(["sweep", "fig15_dynamic", "--grid", "algorithm=best2,best-of-two",
+                     "--param", "n_slots=20", "--param", "n_clients=6",
+                     "--trials", "1", "--cache", str(store)]) == 1
+        assert "algorithm must be one of" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_bad_param_syntax_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "fig12", "--trials", "1", "--param", "oops"])
