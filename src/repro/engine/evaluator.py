@@ -339,9 +339,13 @@ class BatchedGroupEvaluator:
             row = len(self._rows)
             self._rows[client] = row
         self._grow(row, cmap)
-        for i, ap in enumerate(self.aps):
-            # A flat (M, M) matrix broadcasts over the one bin.
-            self._bel[row, :, i] = cmap[ap]
+        h = [cmap[ap] for ap in self.aps]
+        if h[0].ndim == 2:
+            # AP-major ``(3, M, M)`` flat matrices broadcast over the one bin.
+            self._bel[row] = h
+        else:
+            # ``(3, B, M, M)`` bands swap to the row's ``(B, 3, M, M)``.
+            self._bel[row] = np.array(h).swapaxes(0, 1)
         self._bel_versions[row] = version
         if epoch is not None:
             self._row_epochs[row] = epoch

@@ -135,14 +135,16 @@ class SubordinateAP:
             ap_id=self.ap_id, client_id=client_id, h=self._tracker.get(client_id)
         )
 
-    def associate(self, client_id: int, h_estimate: np.ndarray) -> None:
-        """Start tracking a newly associated client from its §8a sounding.
+    def associate(
+        self, client_ids: Sequence[int], h_estimates: Sequence[np.ndarray]
+    ) -> None:
+        """Start tracking newly associated clients from their §8a soundings.
 
-        The leader registers the same sounding itself, so unlike a first
-        :meth:`observe` this emits no report.  The client must be
+        The leader registers the same soundings itself, so unlike a first
+        :meth:`observe` this emits no report.  Each client must be
         untracked: it never associated, or :meth:`forget` dropped it.
         """
-        self._tracker.seed(client_id, h_estimate)
+        self._tracker.store(client_ids, h_estimates)
 
     def channel_to(self, client_id: int) -> np.ndarray:
         return self._tracker.get(client_id)

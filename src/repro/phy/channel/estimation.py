@@ -157,18 +157,14 @@ class ChannelTracker:
         h_new = np.asarray(h_new, dtype=complex)
         current = self._estimates.get(key)
         if current is None:
-            self.seed(key, h_new)
+            # A key held nothing for starts from this estimate, and reports.
+            self._estimates[key] = h_new
+            self.writes += 1
             return True
         smoothed = self.alpha * h_new + (1 - self.alpha) * current
         self._estimates[key] = smoothed
         self.writes += 1
         return drift_from(smoothed, current) > self.drift_threshold
-
-    def seed(self, key, h_new: np.ndarray) -> None:
-        """Start an untracked link from a fresh estimate (no drift verdict:
-        :meth:`update` reports True for a key it held nothing for)."""
-        self._estimates[key] = np.asarray(h_new, dtype=complex)
-        self.writes += 1
 
     def store(self, keys, estimates) -> None:
         """Overwrite many links' estimates at once (no drift verdicts)."""

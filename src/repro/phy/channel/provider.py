@@ -87,6 +87,11 @@ class ChannelProvider(ABC):
     def channel_bins(self, tx: int, rx: int) -> np.ndarray:
         """Stacked ``(n_bins, n_rx, n_tx)`` per-subcarrier channels."""
 
+    def channel_grid(self, tx: Sequence[int], rx: Sequence[int]) -> np.ndarray:
+        """The flat channels of every (tx, rx) pair, ``(len(rx), len(tx),
+        n_rx, n_tx)``: ``[j, i]`` is ``channel(tx[i], rx[j])``."""
+        return np.array([[self.channel(a, b) for a in tx] for b in rx])
+
     @abstractmethod
     def set_node_rho(self, node: int, rho: float) -> None:
         """Override one terminal's per-slot correlation (mobility)."""
@@ -134,6 +139,8 @@ class PairedFadingNetwork(ChannelProvider):
                 continue
             seen.add(key)
             gain = 1.0 if gains is None else gains.get(key, gains.get((key[1], key[0]), 1.0))
+            if not 0.0 < gain < np.inf:
+                raise ValueError(f"gain must be positive and finite, got {gain!r}")
             self._links[key] = self._make_link(n_antennas, rho, gain, rng)
 
     def _make_link(self, n_antennas: int, rho: float, gain: float, rng):

@@ -52,8 +52,10 @@ class GaussMarkovFading:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
-        if self.gain <= 0:
-            raise ValueError("gain must be positive")
+        if not 0.0 < self.gain < np.inf:
+            raise ValueError(
+                f"gain must be positive and finite, got {self.gain!r}"
+            )
         self.rng = default_rng(self.rng)
         self._h = rayleigh_channel(self.n_rx, self.n_tx, self.rng, gain=self.gain)
 

@@ -25,9 +25,12 @@ plan).  Concretely:
   report path (``LeaderAP.handle_update``), so bookkeeping stays exact.
   It runs at the first reader of its output, not at each ack: a woken
   ack slot (:func:`_begin_slot`) and an idle span of the event kernel
-  only snapshot the tracked rows onto the stepper, and one call tracks
-  every waiting ack before the selector's ``propose``, before a churn
-  slot, at the run's end, or once 64 acks wait.
+  only snapshot the tracked rows onto the stepper.  One call then
+  tracks the waiting acks of every cell of a wave whose slot proposed,
+  after ``propose`` and before the wave's solve
+  (:func:`repro.sim.events.run_waves`), and one more those left at the
+  run's end, pooling the numeric core over cells; a cell's churn slot,
+  or 64 waiting acks, flushes that cell alone.
 * **Evaluation** (:class:`repro.engine.BatchedGroupEvaluator`, the one
   evaluator of both engines): believed channels mirrored in one ndarray
   and refreshed *incrementally* — a row is re-gathered only when that
@@ -85,7 +88,8 @@ digest for digest — pinned by ``tests/sim/test_columnar_equivalence.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import itertools
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,27 +144,31 @@ class ColumnarFadingNetwork(ChannelProvider):
         #: Per-node rho overrides (mobility), as in ``PairedFadingNetwork``.
         self._node_rho: Dict[int, float] = {}
         #: Link key ``(min(a, b), max(a, b))`` -> row in :attr:`stack`.
-        self.rows: Dict[Tuple[int, int], int] = {}
-        #: Node -> ``(row, key)`` of each link touching it (mobility).
-        self._node_links: Dict[int, list] = {}
-        link_gains = []
-        for a, b in pairs:
-            key = (min(a, b), max(a, b))
-            if key in self.rows or a == b:
-                continue
-            row = self.rows[key] = len(link_gains)
-            self._node_links.setdefault(a, []).append((row, key))
-            self._node_links.setdefault(b, []).append((row, key))
-            link_gains.append(
-                1.0 if gains is None
-                else gains.get(key, gains.get((key[1], key[0]), 1.0))
-            )
-        n_links = len(link_gains)
+        self.rows: Dict[Tuple[int, int], int] = dict(zip(
+            dict.fromkeys(
+                (a, b) if a < b else (b, a) for a, b in pairs if a != b
+            ),
+            itertools.count(),
+        ))
+        #: Node -> ``(row, key)`` of each link touching it, built by the
+        #: first :meth:`set_node_rho` (mobility is its only reader).
+        self._node_links: Optional[Dict[int, list]] = None
+        n_links = len(self.rows)
         if n_links and not 0.0 <= rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
-        gain = np.array(link_gains, dtype=float)
-        if np.any(gain <= 0):
-            raise ValueError("gain must be positive")
+        if gains is None:
+            gain = np.ones(n_links)
+        else:
+            gain = np.array([
+                gains[key] if key in gains
+                else gains.get((key[1], key[0]), 1.0)
+                for key in self.rows
+            ], dtype=float)
+        bad = gain[~((gain > 0) & (gain < np.inf))]  # NaN fails both
+        if bad.size:
+            raise ValueError(
+                f"gain must be positive and finite, got {float(bad[0])!r}"
+            )
         self._gain_scale = np.sqrt(gain / 2.0)[:, None, None]
         self._rho_vec = np.full((n_links, 1, 1), rho, dtype=float)
         self._scale_vec = np.full(
@@ -185,6 +193,17 @@ class ColumnarFadingNetwork(ChannelProvider):
         """The flat channel as a one-bin ``(1, n_rx, n_tx)`` band."""
         return self.channel(tx, rx)[None]
 
+    def channel_grid(self, tx: Sequence[int], rx: Sequence[int]) -> np.ndarray:
+        """:meth:`ChannelProvider.channel_grid` as one gather of the stack."""
+        rows = self.rows
+        h = self.stack[[rows[(a, b) if a < b else (b, a)] for b in rx for a in tx]]
+        h = h.reshape((len(rx), len(tx)) + h.shape[1:])
+        if len(tx) and len(rx) and max(tx) > min(rx):
+            # A link keyed the other way round reads as its transpose.
+            flip = np.less.outer(rx, tx)
+            h[flip] = h[flip].swapaxes(-1, -2)
+        return h
+
     def node_rho(self, node: int) -> float:
         return self._node_rho.get(node, self._base_rho)
 
@@ -202,6 +221,11 @@ class ColumnarFadingNetwork(ChannelProvider):
         if not 0.0 <= rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
         self._node_rho[node] = rho
+        if self._node_links is None:
+            self._node_links = {}
+            for key, row in self.rows.items():
+                for end in key:
+                    self._node_links.setdefault(end, []).append((row, key))
         links = self._node_links.get(node)
         if not links:
             return
@@ -325,80 +349,119 @@ class _Pending:
 # --------------------------------------------------------------------- #
 
 
-def _track_acks(stepper, active: List[int], rows: List[int],
-                ack_h: np.ndarray) -> None:
-    """K ack slots of drift tracking, batched over every (client, AP).
+def _track_acks(flushes: Sequence[tuple]) -> None:
+    """The waiting ack slots of one or more cells, batched over every (client, AP).
 
-    Bit-equivalent to K calls of :meth:`WLANSimulation._track_channels`
-    on the fault-free flat path, over the tracking mirror of ``stepper``
-    (a :class:`~repro.sim.events.CellStepper`).  ``active`` is the
+    Bit-equivalent, per cell, to K calls of
+    :meth:`WLANSimulation._track_channels` on the fault-free flat path,
+    over the tracking mirror of its
+    :class:`~repro.sim.events.CellStepper`.  ``flushes`` holds one
+    ``(stepper, active, rows, ack_h)`` per cell
+    (:meth:`~repro.sim.events.CellStepper.take_acks`): ``active`` is the
     sorted active population (unchanged across the K acks), ``rows`` its
     mirror rows, and ``ack_h`` a ``(K, P, M, M)`` buffer of the tracked
-    (client, AP) fading rows at each ack slot, client-major (it is
+    (client, AP) fading rows at each ack slot, client-major (it may be
     consumed in place).  The K acks are every ack the stepper deferred
-    since its last flush (:meth:`~repro.sim.events.CellStepper.flush_acks`),
-    so the reports reach the leader late, but before anything reads them.
-    The exponential-smoothing recurrence is inherently sequential across
-    ack slots, but everything around it is not: the smoothing trajectory
-    lands in one ``(K+1, P, M, M)`` buffer (ack k's priors are ack k-1's
-    smoothed rows — views, not copies), all K drift decisions go through
-    one pinned-order :func:`frobenius_norms` call for the numerators and
-    one for the denominators, and only drifted pairs walk the scalar
-    report path (``LeaderAP.handle_update`` — version bump, update-byte
-    and quarantine bookkeeping included), in exact (ack, client, AP)
-    order.  Tracker-dict stores are deferred to
-    :meth:`~repro.sim.events.CellStepper.finish` (``stepper.tracked``).
+    since its last flush, so the reports reach the leader late, but
+    before anything reads them.
+
+    Only the numeric core is pooled, over the concatenated (client, AP)
+    rows of every cell that shares K, ``M``, ``alpha`` and
+    ``drift_threshold`` (:func:`_drifts`); each of its statistics is
+    elementwise per row, so a cell's values do not depend on its
+    pool-mates.  The rest stays per cell: the resync of mirror rows
+    invalidated by churn, the drifted pairs' walk of the scalar report
+    path (``LeaderAP.handle_update`` — version bump, update-byte and
+    quarantine bookkeeping included) in exact (ack, client, AP) order,
+    the mirror write-back and ``update_bytes``.  Tracker-dict stores are
+    deferred to :meth:`~repro.sim.events.CellStepper.finish`
+    (``stepper.tracked``).
     """
-    sim = stepper.sim
-    if active:
-        ap_ids = sim.ap_ids
+    pools: Dict[tuple, list] = {}
+    for flush in flushes:
+        stepper, active, rows, ack_h = flush
+        if not active:
+            continue
+        sim = stepper.sim
         T = stepper.T
         # Resync mirror rows invalidated by churn (fresh association state).
         if not stepper.T_valid[rows].all():
             for c, r in zip(active, rows):
                 if not stepper.T_valid[r].all():
-                    for j, a in enumerate(ap_ids):
+                    for j, a in enumerate(sim.ap_ids):
                         T[r, j] = sim.subordinates[a].channel_to(c)
                     stepper.T_valid[r] = True
-        m = T.shape[-1]
-        beta = 1.0 - stepper.alpha
-        # One in-place scale covers all K ack slots (``alpha`` is a
-        # scalar, so pre-scaling is elementwise-identical to scaling
-        # inside the loop); only the sequential half of the recurrence
-        # stays per ack — two ``out=`` ufunc calls each, same rounding.
-        alpha_h = np.multiply(stepper.alpha, ack_h, out=ack_h)
-        K, P = alpha_h.shape[:2]
-        S = np.empty((K + 1, P, m, m), dtype=alpha_h.dtype)
-        S[0] = T[rows].reshape(P, m, m)
-        cur = S[0]
-        for k in range(K):
-            nxt = S[k + 1]
-            np.multiply(beta, cur, out=nxt)
-            np.add(alpha_h[k], nxt, out=nxt)
-            cur = nxt
-        num = frobenius_norms(S[1:] - S[:-1], batch_ndim=2)
-        den = frobenius_norms(S[:-1], batch_ndim=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(den == 0, np.inf, num / den)
-        drifted = ratio > stepper.drift_threshold
-        if drifted.any():
-            handle_update = sim.leader.handle_update
+        key = (len(ack_h), ack_h.shape[-1], stepper.alpha,
+               stepper.drift_threshold)
+        pools.setdefault(key, []).append(flush)
+    for (_, m, alpha, threshold), cells in pools.items():
+        S, drifted = _drifts(
+            [stepper.T[rows] for stepper, _, rows, _ in cells],
+            cells[0][3] if len(cells) == 1
+            else np.concatenate([flush[3] for flush in cells], axis=1),
+            alpha, threshold,
+        )
+        start = 0
+        for stepper, active, rows, _ in cells:
+            sim = stepper.sim
+            ap_ids = sim.ap_ids
             n_aps = len(ap_ids)
-            n_reports = 0
-            for k in np.nonzero(drifted.any(axis=1))[0]:
-                for p in np.nonzero(drifted[k])[0]:
+            stop = start + len(rows) * n_aps
+            # Row-major, so in (ack, client, AP) order.
+            ks, ps = np.nonzero(drifted[:, start:stop])
+            if len(ps):
+                # The reported estimates: one fresh copy, frozen for the leader.
+                reports = S[1:, start:stop][ks, ps]
+                handle_update = sim.leader.handle_update
+                for p, h in zip(ps.tolist(), reports):
                     handle_update(ChannelUpdate(
                         ap_id=ap_ids[p % n_aps],
                         client_id=active[p // n_aps],
-                        h=S[k + 1, p],
+                        h=h,
                     ))
-                    n_reports += 1
-            sim.stats.drift_reports += n_reports
-        T[rows] = cur.reshape(len(rows), len(ap_ids), m, m)
-        stepper.tracked.update(active)
-    # The scalar ack path refreshes update_bytes every ack slot; only the
-    # value after the last ack is observable.
-    sim.stats.update_bytes = sim._update_bytes_base + sim.leader.update_bytes
+                sim.stats.drift_reports += len(ps)
+            stepper.T[rows] = S[-1, start:stop].reshape(len(rows), n_aps, m, m)
+            stepper.tracked.update(active)
+            start = stop
+    for stepper, *_ in flushes:
+        # The scalar ack path refreshes update_bytes every ack slot; only
+        # the value after the last ack is observable.
+        sim = stepper.sim
+        sim.stats.update_bytes = sim._update_bytes_base + sim.leader.update_bytes
+
+
+def _drifts(priors: List[np.ndarray], ack_h: np.ndarray, alpha: float,
+            threshold: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The smoothing trajectory and drift verdicts of K acks over P rows.
+
+    ``priors`` are the mirror's ``(n, A, M, M)`` blocks whose ``n·A``
+    rows, in order, are the P columns of ``ack_h`` (``(K, P, M, M)``,
+    scaled in place).  Returns ``S``, ``(K+1, P, M, M)`` with the priors
+    at ``S[0]`` and ack k's smoothed rows at ``S[k+1]``, and the
+    ``(K, P)`` verdicts ``|S[k+1] - S[k]| / |S[k]| > threshold``.  The
+    recurrence is inherently sequential across acks, but everything
+    around it is not: one in-place scale covers all K acks (``alpha`` is
+    a scalar, so pre-scaling is elementwise-identical to scaling inside
+    the loop), each ack is two ``out=`` ufunc calls, and all K verdicts
+    go through one pinned-order :func:`frobenius_norms` call for the
+    numerators and one for the denominators.
+    """
+    K, P, m = ack_h.shape[:3]
+    alpha_h = np.multiply(alpha, ack_h, out=ack_h)
+    beta = 1.0 - alpha
+    S = np.empty((K + 1, P, m, m), dtype=alpha_h.dtype)
+    np.concatenate([p.reshape(-1, m, m) for p in priors], out=S[0])
+    cur = S[0]
+    for k in range(K):
+        nxt = S[k + 1]
+        np.multiply(beta, cur, out=nxt)
+        np.add(alpha_h[k], nxt, out=nxt)
+        cur = nxt
+    num = frobenius_norms(S[1:] - S[:-1], batch_ndim=2)
+    den = frobenius_norms(S[:-1], batch_ndim=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(den == 0, np.inf, num / den)
+    return S, ratio > threshold
 
 
 # --------------------------------------------------------------------- #
@@ -467,9 +530,9 @@ def _begin_slot(stepper) -> Optional[_Pending]:
             head = sim.queue.head().client_id
             stepper.serve((head,), sim._serve_head_alone(head), slot)
             return None
-        # The group choice reads the leader's channel map and versions.
-        if stepper.acks:
-            stepper.flush_acks()
+        # The group choice reads the leader's channel map and versions,
+        # but ``propose`` does not: ``run_waves`` tracks the waiting acks
+        # of every proposing cell in one pass before the wave's solve.
         return _Pending(slot, sim.selector.propose(sim.queue))
     if sim._degraded and sim.config.service == "iac":
         sim.stats.fallback_slots += 1

@@ -44,10 +44,10 @@ Concretely, per idle span:
 * **Sounding** — an ack slot is never a wake-up point: ``step_block``
   snapshots the tracked (client, AP) rows at each ack slot inside a
   span, as a woken ack slot copies its own, and the snapshots wait on
-  the stepper.  One
-  :func:`~repro.sim.columnar._track_acks` call tracks all the waiting
-  acks, in ack order, at the first point that reads its output (see
-  :class:`CellStepper`).
+  the stepper.  The waiting acks are tracked, in ack order, at the
+  first point that reads their output, in one
+  :func:`~repro.sim.columnar._track_acks` call per wave for all the
+  cells whose slot proposed (see :class:`CellStepper`).
 * **Clocks** — a skipping cell has no Ethernet hub (only fault
   injection builds one), so the slot counter and the fading stack are
   the only clocks a span moves.
@@ -156,10 +156,12 @@ class CellStepper:
     ``row_ca`` and the tracking mirror (``T``, ``T_valid``, ``tracked``,
     ``alpha``, ``drift_threshold``).  Everything else per client (queue,
     accounting) is the simulation's own; mirror rows follow its
-    ``_row``.  A row is read from the subordinates' trackers at its
-    first ack, and only the deferred tracker writes are folded back, by
-    :meth:`finish`.  The mirror then outlives the run: :meth:`finish`
-    parks ``row_ca``, ``T`` and ``T_valid`` on the simulation
+    ``_row``.  A fresh mirror reads every active client's rows from the
+    subordinates' trackers in one gather when the stepper is built (a
+    row churn invalidates is re-read at its next ack), and only the
+    deferred tracker writes are folded back, by :meth:`finish`.  The
+    mirror then outlives the run: :meth:`finish` parks ``row_ca``,
+    ``T`` and ``T_valid`` on the simulation
     (``sim._track_mirror``) with a stamp of every tracker's ``writes``
     count, and the next stepper adopts them while the stamp still
     matches.  Any other tracker write in between (``run_reference``, a
@@ -169,21 +171,24 @@ class CellStepper:
     shard's later barrier rounds thus re-read no estimate.
 
     Drift tracking itself is deferred to its next reader.  An ack slot
-    only snapshots the tracked rows (:meth:`defer_acks`), and
-    :meth:`flush_acks` tracks every waiting ack in one
-    :func:`~repro.sim.columnar._track_acks` call at the flush points:
-    before the selector's ``propose`` (the group choice is the only
-    reader of a drift report, and the solve, ``resolve``, quarantine
-    check and transmit after it read the leader's channel map and
-    versions), before a churn slot (a leave disassociates its client at
-    the leader, a join re-sounds it and a churned row's resync reads the
-    trackers), at the top of :meth:`finish`, and once :data:`_ACK_CAP`
-    acks wait.  The lemma: on the fault-free flat path nothing between
-    an ack and the next flush point reads a drift report, the mirror or
-    a tracker — mobility, arrivals, idle spans and point-to-point
-    service work from snapshots already taken — and the active
-    population is fixed between flush points, because churn flushes
-    first.  So the late reports are the eager ones, bit for bit.
+    only snapshots the tracked rows (:meth:`defer_acks`), and the
+    waiting acks are tracked at the flush points.  :func:`run_waves`
+    hands them over (:meth:`take_acks`) after a slot's ``propose`` and
+    before the wave's solve — the group choice is the only reader of a
+    drift report, and the solve, ``resolve``, quarantine check and
+    transmit after it read the leader's channel map and versions — and
+    once more before :meth:`finish`, pooling every such cell into one
+    :func:`~repro.sim.columnar._track_acks` call.  :meth:`flush_acks`
+    tracks this cell alone before a churn slot (a leave disassociates
+    its client at the leader, a join re-sounds it and a churned row's
+    resync reads the trackers) and once :data:`_ACK_CAP` acks wait.
+    The lemma: on the fault-free flat path nothing
+    between an ack and the next flush point reads a drift report, the
+    mirror or a tracker — ``propose``, mobility, arrivals, idle spans
+    and point-to-point service work from snapshots already taken or
+    touch none of them — and the active population is fixed between
+    flush points, because churn flushes first.  So the late reports are
+    the eager ones, bit for bit.
 
     :meth:`advance` runs slots — skipping idle spans — until one stops
     at a kernel point, and returns that paused slot (a
@@ -261,6 +266,16 @@ class CellStepper:
                 m = sim.config.n_antennas
                 self.T = np.zeros((n, a, m, m), dtype=complex)
                 self.T_valid = np.zeros((n, a), dtype=bool)
+                # Every active client's estimates in one gather; a row
+                # churn touches later is invalidated and re-read then.
+                active = sorted(sim._active)
+                if active:
+                    aps = [sim.subordinates[a] for a in sim.ap_ids]
+                    mirror_rows = [sim._row[c] for c in active]
+                    self.T[mirror_rows] = np.concatenate(
+                        [ap.channel_to(c) for c in active for ap in aps]
+                    ).reshape(len(active), a, m, m)
+                    self.T_valid[mirror_rows] = True
 
     def advance(self) -> Optional[_Pending]:
         """Run to the next paused slot (returned) or to the run's end."""
@@ -289,14 +304,20 @@ class CellStepper:
         if self.n_acks >= _ACK_CAP:
             self.flush_acks()
 
-    def flush_acks(self) -> None:
-        """Track every waiting ack slot in one :func:`~repro.sim.columnar._track_acks`
-        call; its recurrence and reports run ack by ack either way."""
+    def take_acks(self) -> tuple:
+        """Hand over the waiting ack slots: ``(self, active, rows, ack_h)``,
+        one :func:`~repro.sim.columnar._track_acks` entry."""
         acks = self.acks
         ack_h = acks[0] if len(acks) == 1 else np.concatenate(acks)
         self.acks = []
         self.n_acks = 0
-        _track_acks(self, *self.ack_clients, ack_h)
+        return (self, *self.ack_clients, ack_h)
+
+    def flush_acks(self) -> None:
+        """Track every waiting ack slot of this cell alone, in one
+        :func:`~repro.sim.columnar._track_acks` call; its recurrence and
+        reports run ack by ack either way."""
+        _track_acks([self.take_acks()])
 
     def serve(self, served, rates, slot: int) -> None:
         """Complete a slot's queue work now; its rates are credited in :meth:`finish`."""
@@ -306,8 +327,10 @@ class CellStepper:
     def finish(self):
         """Credit the ledger, write the deferred tracker estimates back, close.
 
-        Every pooled kernel has run by now, so each rate dict is
-        complete; crediting in slot order keeps the scalar loop's sums.
+        Every pooled kernel and every waiting ack has run by now
+        (:func:`run_waves`), so each rate dict is complete and the
+        mirror current; crediting in slot order keeps the scalar loop's
+        sums.
         The estimates are stored as views of one fresh copy of the
         mirror rows, never of the mirror itself: the scalar contract is
         that an estimate stays frozen for whoever holds it.  The mirror
@@ -315,8 +338,6 @@ class CellStepper:
         the trackers' write counts as they stand after the fold-back.
         """
         sim = self.sim
-        if self.acks:
-            self.flush_acks()
         for served, rates in self.ledger:
             sim._credit(served, rates)
         if self.tracked:
@@ -504,18 +525,29 @@ def _pool(pool: List[tuple], entry: tuple, kernel) -> None:
         pool.clear()
 
 
+def _flush_wave(steppers: Sequence[CellStepper]) -> None:
+    """Track the waiting acks of every cell in ``steppers`` in one
+    :func:`~repro.sim.columnar._track_acks` call (none if none wait)."""
+    flushes = [st.take_acks() for st in steppers if st.acks]
+    if flushes:
+        _track_acks(flushes)
+
+
 def run_waves(steppers: Sequence[CellStepper]) -> list:
     """Drive many cells' steppers in waves; each one's stats, in order.
 
-    A wave pools the alignment solves of every paused cell into one
+    A wave first tracks the waiting acks of every cell whose paused slot
+    proposed, in one :func:`~repro.sim.columnar._track_acks` call, then
+    pools the alignment solves of every paused cell into one
     :func:`~repro.sim.columnar.solve_wave`.  Then each paused slot
     resolves its group, pools its rate-kernel input, is served
     (:meth:`CellStepper.serve`) and advances to its next pause.  The
     rates settle at the end of the run: each pool's kernel
     (:func:`~repro.sim.columnar.p2p_wave`,
     :func:`~repro.sim.columnar.transmit_wave`) runs once then, or
-    whenever :data:`_POOL_CAP` slots wait on it, and each stepper
-    credits its ledger in :meth:`CellStepper.finish`.  Each cell's
+    whenever :data:`_POOL_CAP` slots wait on it; the acks still waiting
+    are tracked in one more pooled call, and each stepper credits its
+    ledger in :meth:`CellStepper.finish`.  Each cell's
     trajectory is the one :func:`run_event` gives it alone (the kernels
     are batch-invariant), and so is its ``last_event_summary``.  The
     pools are locals here, so a run that raises leaves nothing behind.
@@ -531,6 +563,10 @@ def run_waves(steppers: Sequence[CellStepper]) -> list:
     for _ in range(n_slots):  # repro-lint: ignore[no-python-slot-loop]
         if not paused:
             break
+        # From here on a proposing slot reads the leader's drift reports
+        # (the solve, ``resolve``, the quarantine check and the decode):
+        # every such cell's waiting acks are tracked first, in one pass.
+        _flush_wave([st for st, p in paused if p.proposal is not None])
         solve_wave([
             (st, p) for st, p in paused
             if p.proposal is not None and p.proposal.groups
@@ -550,4 +586,5 @@ def run_waves(steppers: Sequence[CellStepper]) -> list:
         p2p_wave(p2p)
     if decode:
         transmit_wave(decode)
+    _flush_wave(steppers)
     return [st.finish() for st in steppers]

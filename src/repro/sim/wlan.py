@@ -93,6 +93,12 @@ def _check_n_slots(n_slots: int) -> None:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
 
 
+def _stream(seed, index: int) -> np.random.SeedSequence:
+    """Child ``index`` of ``SeedSequence(seed)``, without spawning its
+    siblings: equal to ``SeedSequence(seed).spawn(index + 1)[index]``."""
+    return np.random.SeedSequence(seed, spawn_key=(index,))
+
+
 def check_engine(engine: str) -> None:
     """Reject any ``engine`` value outside :data:`WLAN_ENGINES`."""
     if engine not in WLAN_ENGINES:
@@ -382,6 +388,13 @@ class WLANSimulation:
             raise ValueError(
                 f"mean_gain_db must be finite, got {config.mean_gain_db}"
             )
+        with np.errstate(over="ignore"):
+            gain = float(db_to_linear(config.mean_gain_db))
+        if not 0.0 < gain < np.inf:
+            raise ValueError(
+                f"mean_gain_db={config.mean_gain_db} gives a linear gain of "
+                f"{gain!r}; it must be positive and finite"
+            )
         self.config = config
         #: The fault plan, or None — parsed up front so a bad
         #: ``fault_params`` dict fails at construction, not mid-run.
@@ -395,8 +408,7 @@ class WLANSimulation:
         self.ap_ids = list(range(config.n_aps))
         self.client_ids = list(range(100, 100 + config.n_clients))
         pairs = [(a, c) for a in self.ap_ids for c in self.client_ids]
-        gain = db_to_linear(config.mean_gain_db)
-        gains = {(min(a, c), max(a, c)): gain for a, c in pairs}
+        gains = dict.fromkeys(pairs, gain)
         #: The channel substrate, behind the ChannelProvider contract.
         self.fading: ChannelProvider
         if config.channel == "flat":
@@ -494,22 +506,28 @@ class WLANSimulation:
             self.mobility = MobilityModel(**config.mobility_params)
         else:
             self.mobility = None
-        # Dedicated streams: spawned from the config seed, independent of
-        # ``self.rng`` so the saturated default draws the exact sequence
-        # the pre-dynamic simulation drew.  SeedSequence children are
-        # keyed by sequential spawn index, so growing spawn(3) to
-        # spawn(4) leaves the first three streams bit-identical.
-        traffic_seq, churn_seq, mobility_seq, fault_seq = np.random.SeedSequence(
-            config.seed
-        ).spawn(4)
-        self._traffic_rng = np.random.default_rng(traffic_seq)
-        self._churn_rng = np.random.default_rng(churn_seq)
-        self._mobility_rng = np.random.default_rng(mobility_seq)
+        # Dedicated streams: the children of the config seed's
+        # ``SeedSequence`` (traffic 0, churn 1, mobility 2, faults 3),
+        # independent of ``self.rng`` so the saturated default draws the
+        # exact sequence the pre-dynamic simulation drew.  A child is
+        # keyed by its spawn index alone, so each is built on its own,
+        # and only for a process that exists.
+        self._traffic_rng = np.random.default_rng(_stream(config.seed, 0))
+        self._churn_rng = (
+            np.random.default_rng(_stream(config.seed, 1))
+            if self.churn is not None else None
+        )
+        self._mobility_rng = (
+            np.random.default_rng(_stream(config.seed, 2))
+            if self.mobility is not None else None
+        )
         # ---- fault wiring (all None without fault_params) ------------- #
         self.injector: Optional[FaultInjector] = None
         self.hub: Optional[EthernetHub] = None
         if self.fault_plan is not None:
-            self.injector = FaultInjector(self.fault_plan, fault_seq)
+            self.injector = FaultInjector(
+                self.fault_plan, _stream(config.seed, 3)
+            )
             # The explicit backplane: CSI annotations and the leader's
             # per-slot data frames to the other transmit APs cross this
             # hub and are subject to the injector's loss/delay.  Without
@@ -598,20 +616,25 @@ class WLANSimulation:
     def _associate(self, *clients: int) -> None:
         """§8a association of ``clients``, in one pass.
 
-        All APs sound each client's current channel, the leader registers
-        it, and every subordinate starts tracking it from that sounding.
+        All APs sound each client's current channel (on a flat channel,
+        one :meth:`~repro.phy.channel.provider.ChannelProvider.channel_grid`
+        read of every (AP, client) link), the leader registers it, and
+        every subordinate starts tracking it from that sounding.
         The one association path: start-up passes every client, a churn
         re-join one.  The leave path forgets the subordinates' trackers,
         so each sounding is genuinely fresh, not a smoothed blend.
         """
         aps = self.ap_ids
         subordinates = [self.subordinates[a] for a in aps]
-        sound = self._sound
-        for c in clients:
-            estimates = {a: sound(a, c) for a in aps}
+        if self._banded:
+            soundings = [[self._sound(a, c) for a in aps] for c in clients]
+        else:
+            soundings = self.fading.channel_grid(aps, clients)
+        heard = [dict(zip(aps, h)) for h in soundings]
+        for c, estimates in zip(clients, heard):
             self.leader.handle_association(c, estimates)
-            for a, subordinate in zip(aps, subordinates):
-                subordinate.associate(c, estimates[a])
+        for a, subordinate in zip(aps, subordinates):
+            subordinate.associate(clients, [estimates[a] for estimates in heard])
 
     def _true_channels(self, group: Tuple[int, ...]) -> np.ndarray:
         """The ``(B, 3, 3, M, M)`` true band of ``group``: ``[b, i, j]``

@@ -171,7 +171,7 @@ class TestTracker:
         tracking mirror can tell that an estimate changed behind it."""
         t = ChannelTracker()
         h = rayleigh_channel(2, 2, rng)
-        t.seed("a", h)
+        t.store(["a"], [h])
         t.update("a", 2 * h)
         t.update("b", h)  # first sight of a key: a seed
         t.store(["a", "c"], [3 * h, h])

@@ -68,6 +68,12 @@ def _assert_same(ref, col, rngs, aps, clients):
                     col.channel_bins(tx, rx), ref.channel_bins(tx, rx)
                 )
                 assert col.link_rho(tx, rx) == ref.link_rho(tx, rx)
+    # One gather of every link, either way round (clients to APs reads
+    # each stacked row transposed).
+    for tx, rx in ((aps, clients), (clients, aps)):
+        grid = col.channel_grid(tx, rx)
+        assert grid.shape == (len(rx), len(tx)) + grid.shape[2:]
+        assert np.array_equal(grid, ref.channel_grid(tx, rx))
     for node in aps + clients:
         assert col.node_rho(node) == ref.node_rho(node)
     assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
@@ -157,6 +163,18 @@ def test_non_positive_gain_is_refused_alike(gain):
     for cls in (FadingNetwork, ColumnarFadingNetwork):
         with pytest.raises(ValueError, match="gain must be positive"):
             cls(pairs, n_antennas=2, gains={(1, 100): gain}, rng=0)
+
+
+@pytest.mark.parametrize("gain", [0.0, -1.0, np.nan, np.inf])
+def test_a_gain_that_is_not_positive_and_finite_is_refused_everywhere(gain):
+    """NaN and inf used to build a network of NaN channels (the wideband
+    network took non-positive gains too)."""
+    from repro.phy.channel.provider import WidebandFadingNetwork
+
+    pairs = [(0, 100), (1, 100)]
+    for cls in (FadingNetwork, ColumnarFadingNetwork, WidebandFadingNetwork):
+        with pytest.raises(ValueError, match="gain must be positive"):
+            cls(pairs, n_antennas=2, gains={(100, 1): gain}, rng=0)
 
 
 def test_negative_steps_are_refused_alike():

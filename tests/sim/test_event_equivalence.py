@@ -23,7 +23,9 @@ suite pins that contract in its strongest form:
   slots, and no reference cycle keeps a finished simulation alive;
 * a run tracks its ack slots' drift once per reader, not once per ack:
   one tracking call at each proposing slot, churn slot and run end that
-  finds acks waiting, one more per 64 waiting acks.
+  finds acks waiting, one more per 64 waiting acks; a wave of many
+  cells tracks all its proposing cells in one call, each cell as if
+  alone.
 
 The case grid is the columnar suite's (every traffic model, churn,
 mobility, wideband, p2p, every fault cocktail) plus the event-specific
@@ -386,13 +388,15 @@ def test_a_run_past_the_pool_cap_flushes_every_1024_slots(
 
 
 def _count_track_calls(monkeypatch):
-    """Record the number of ack slots of every ``_track_acks`` call."""
+    """Record the number of ack slots of every one-cell ``_track_acks``
+    call."""
     calls = []
     track = events._track_acks
 
-    def counted(stepper, active, rows, ack_h):
+    def counted(flushes):
+        (_, _, _, ack_h), = flushes
         calls.append(len(ack_h))
-        return track(stepper, active, rows, ack_h)
+        return track(flushes)
 
     monkeypatch.setattr(events, "_track_acks", counted)
     return calls
@@ -444,6 +448,136 @@ def test_a_run_that_never_proposes_tracks_every_64_acks(monkeypatch):
     assert len(calls) == -(-n_slots // cap)
     want = WLANSimulation(config(engine="reference", **overrides)).run(n_slots)
     assert got.digest() == want.digest()
+
+
+#: Cells whose acks wait in different numbers when their slots propose:
+#: churn flushes alone at its churn slots, a p2p cell never proposes, a
+#: saturated cell proposes every slot and the sparse cells pause at p2p
+#: and idle slots between proposals, at two ack cadences.
+POOLED_TRACKING_CASES = {
+    "churn": {**poisson(0.4), "churn_params": {"p_leave": 0.1, "p_join": 0.2}},
+    "p2p": {**poisson(0.4), "service": "p2p", "ack_period": 1},
+    "saturated": {},
+    "sparse_ack_2": {**poisson(0.15), "ack_period": 2},
+    "sparse_ack_2_seed_5": {**poisson(0.15), "ack_period": 2, "seed": 5},
+    "sparse_ack_3": {**poisson(0.15), "ack_period": 3, "seed": 7},
+    "sparse_mobility": {
+        **poisson(0.2),
+        "ack_period": 1,
+        "mobility_params": {"p_start": 0.3, "p_stop": 0.3, "rho_moving": 0.9},
+    },
+}
+
+
+def _record_track_calls(monkeypatch):
+    """Record the ack count of each cell of every ``_track_acks`` call."""
+    calls = []
+    track = events._track_acks
+
+    def counted(flushes):
+        calls.append([len(ack_h) for _, _, _, ack_h in flushes])
+        return track(flushes)
+
+    monkeypatch.setattr(events, "_track_acks", counted)
+    return calls
+
+
+def test_pooled_tracking_equals_each_cell_tracked_alone(monkeypatch):
+    """One ``run_waves`` tracks the waiting acks of a wave's cells in one
+    pass, pooling cells whose ack counts match and splitting those that
+    do not.  Each cell still ends where it ends alone: same digest,
+    drift reports, update bytes, tracker estimates and evaluator cache,
+    over two rounds (the second resumes the kept mirrors)."""
+    names = sorted(POOLED_TRACKING_CASES)
+    pooled = [WLANSimulation(config(**POOLED_TRACKING_CASES[n])) for n in names]
+    alone = [WLANSimulation(config(**POOLED_TRACKING_CASES[n])) for n in names]
+    calls = _record_track_calls(monkeypatch)
+    for n_slots in (30, 20):
+        stats = run_waves([CellStepper(sim, n_slots) for sim in pooled])
+        for name, sim, got in zip(names, alone, stats):
+            want = sim.run(n_slots)
+            assert got.digest() == want.digest(), name
+            assert got.drift_reports == want.drift_reports, name
+            assert got.update_bytes == want.update_bytes, name
+    monkeypatch.undo()
+    for name, a, b in zip(names, pooled, alone):
+        assert_same_trackers(a, b)
+        assert a.evaluator.cache_info() == b.evaluator.cache_info(), name
+    # Some pass pooled several cells, also with different ack counts.
+    assert any(len(cells) > 1 for cells in calls), calls
+    assert any(len(set(cells)) > 1 for cells in calls), calls
+    # And the grid really drifts: the comparison is not of empty reports.
+    assert all(sim.stats.drift_reports for sim in pooled)
+
+
+def test_pooled_tracking_equals_the_reference():
+    """The pooled pass against the scalar loop itself, not the fast
+    engine alone."""
+    names = sorted(POOLED_TRACKING_CASES)
+    pooled = [WLANSimulation(config(**POOLED_TRACKING_CASES[n])) for n in names]
+    stats = run_waves([CellStepper(sim, 40) for sim in pooled])
+    for name, sim, got in zip(names, pooled, stats):
+        reference = WLANSimulation(
+            config(engine="reference", **POOLED_TRACKING_CASES[name])
+        )
+        assert got.digest() == reference.run(40).digest(), name
+        assert_same_trackers(sim, reference)
+
+
+def test_a_city_round_tracks_once_per_wave(monkeypatch):
+    """A round of N busy cells tracks its acks in at most one pass per
+    wave plus one at the end, however many cells hold acks: today's
+    per-cell flushes would make one call per cell and reader."""
+    n_cells, n_slots = 8, 12
+    cells = [
+        WLANSimulation(config(seed=seed, **poisson(0.5)))
+        for seed in range(n_cells)
+    ]
+    calls = _record_track_calls(monkeypatch)
+    waves = []
+    solve = events.solve_wave
+    monkeypatch.setattr(
+        events, "solve_wave", lambda paused: (waves.append(1), solve(paused))
+    )
+    stats = run_waves([CellStepper(sim, n_slots) for sim in cells])
+    monkeypatch.undo()
+    assert 0 < len(calls) <= len(waves) + 1, (calls, len(waves))
+    # Every ack slot of every cell is tracked exactly once (ack_period 4).
+    assert sum(map(sum, calls)) == n_cells * len(range(0, n_slots, 4))
+    assert max(map(len, calls)) > 1
+    for seed, got in enumerate(stats):
+        want = WLANSimulation(
+            config(seed=seed, engine="reference", **poisson(0.5))
+        ).run(n_slots)
+        assert got.digest() == want.digest(), seed
+
+
+def test_process_streams_are_the_seed_sequence_children():
+    """Each process stream is built alone, only when its process exists,
+    and draws what ``SeedSequence(seed).spawn(4)`` gave it: traffic 0,
+    churn 1, mobility 2, faults 3."""
+    from repro.faults import FaultInjector
+
+    seed = 1234
+    sim = WLANSimulation(config(
+        seed=seed,
+        churn_params={"p_leave": 0.1, "p_join": 0.1},
+        mobility_params={"p_start": 0.1, "p_stop": 0.1, "rho_moving": 0.9},
+        fault_params={"backplane_loss_rate": 0.5, "csi_corrupt_rate": 0.5},
+    ))
+    children = np.random.SeedSequence(seed).spawn(4)
+    for child, rng in zip(children, (
+        sim._traffic_rng, sim._churn_rng, sim._mobility_rng,
+    )):
+        want = np.random.default_rng(child).random(8)
+        assert np.array_equal(rng.random(8), want)
+    twin = FaultInjector(sim.fault_plan, children[3])
+    for name in ("_loss_rng", "_delay_rng", "_corrupt_rng", "_stale_rng"):
+        got = getattr(sim.injector, name).random(8)
+        assert np.array_equal(got, getattr(twin, name).random(8)), name
+    plain = WLANSimulation(config(seed=seed))
+    assert plain._churn_rng is None and plain._mobility_rng is None
+    assert plain.injector is None
 
 
 def test_fast_cell_builds_without_per_link_fading_objects(monkeypatch):

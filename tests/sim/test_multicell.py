@@ -303,8 +303,9 @@ class TestKeptTrackingMirror:
             assert_same_trackers(fast_shard.sims[k], sim)
 
     def test_estimates_are_read_once_per_city_run(self, monkeypatch):
-        """Only the first round's first ack reads the trackers: a mirror
-        rebuilt at a later barrier would read every estimate again."""
+        """Only the first round's fresh mirror reads the trackers: a
+        mirror rebuilt at a later barrier would read every estimate
+        again."""
         reads = []
         channel_to = SubordinateAP.channel_to
 

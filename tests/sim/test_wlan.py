@@ -115,6 +115,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="mean_gain_db"):
             WLANSimulation(WLANConfig(engine=engine, mean_gain_db=value))
 
+    @pytest.mark.parametrize("channel", ["flat", "wideband"])
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("value", [4000.0, -4000.0])
+    def test_a_gain_beyond_float_range_is_rejected(self, channel, engine, value):
+        """Regression: 4000 dB overflowed to an infinite linear gain and
+        -4000 dB underflowed to zero; both ran on NaN channels or died
+        in LAPACK instead of naming the knob."""
+        with pytest.raises(ValueError, match="mean_gain_db"):
+            WLANSimulation(WLANConfig(
+                engine=engine, channel=channel, mean_gain_db=value,
+            ))
+
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), -float("inf"), -0.1]

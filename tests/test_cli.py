@@ -145,6 +145,16 @@ class TestRegistryCLI:
                      "--param", f"delay_spread={spread}"]) == 1
         assert "delay_spread" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", ["fig15_dynamic", "fig_ofdm_dynamic"])
+    @pytest.mark.parametrize("gain", ["4000", "-4000"])
+    def test_run_rejects_a_gain_beyond_float_range(self, capsys, scenario, gain):
+        # fig15_dynamic used to exit 0 printing "mean gain nanx" after a
+        # LAPACK error; fig_ofdm_dynamic died in an SVD or a ZeroDivisionError.
+        assert main(["run", scenario, "--trials", "1", "--quiet",
+                     "--param", "n_slots=5", "--param", "n_clients=4",
+                     "--param", f"mean_gain_db={gain}"]) == 1
+        assert "mean_gain_db" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scenario, extra", [
         ("ofdm_subcarrier", []),
         ("fig_ofdm_dynamic", ["--param", "n_slots=5"]),
