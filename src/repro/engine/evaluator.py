@@ -9,10 +9,16 @@ gathers all not-yet-cached groups of a probe from a believed-channel
 mirror into one ndarray batch (:mod:`repro.engine.batched`) and
 memoises per-group solutions keyed on the channel-map versions of the
 group's clients, so unchanged groups are never re-solved between drift
-reports.  Its
-:meth:`~BatchedGroupEvaluator.plan` / :meth:`~BatchedGroupEvaluator.install`
-split lets the columnar slot path pool the solves of many cells into one
-call.
+reports.
+
+A probe walks the memo once: :meth:`~BatchedGroupEvaluator.plan` counts
+its hits and misses and returns a :class:`Probe` record of each
+candidate group's live entry or gathered solver rows;
+:meth:`~BatchedGroupEvaluator.install` fills it in, and the scoring
+(:meth:`~BatchedGroupEvaluator.evaluate_many`) and the winner's transmit
+(:meth:`~BatchedGroupEvaluator.transmit_filters`) read it.  The
+plan/install split lets the columnar slot path pool the solves of many
+cells into one call.
 
 The pre-engine scalar path (one
 :func:`~repro.core.alignment.solve_downlink_three_packets` +
@@ -23,7 +29,7 @@ the test suite's oracle, ``tests/reference/evaluator.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -68,19 +74,34 @@ class _CacheEntry:
     validated_epoch: int = -1
 
 
-class Plan(NamedTuple):
-    """The solve a probe needs (:meth:`BatchedGroupEvaluator.plan`)."""
+class Probe:
+    """One probe's memo walk (:meth:`BatchedGroupEvaluator.plan`).
 
-    #: The distinct groups to solve, in probe order.
-    groups: Sequence[Group]
-    #: Their channel-map version keys.
-    versions: List[Tuple[int, ...]]
-    #: ``(G, 3, B, 3, M, M)`` client-major believed rows from the mirror:
-    #: ``band[g, j, b, i]`` is bin ``b`` from ``aps[i]`` to client ``j``.
-    band: np.ndarray
-    #: The bins of ``band`` the solver gets: all of them, or the anchor
-    #: bin alone (``(G, 3, 1, 3, M, M)``, flat-anchor mode).
-    rows: np.ndarray
+    ``groups`` are the candidates in probe order; ``entries`` maps each
+    distinct full one to its live cache entry, or to ``None`` while it
+    waits in ``missing`` for its solve.  ``versions``, ``band`` and
+    ``rows`` are the missing groups' version keys and believed rows:
+    ``band`` is the ``(G, 3, B, 3, M, M)`` client-major gather
+    (``band[g, j, b, i]`` is bin ``b`` from ``aps[i]`` to client ``j``)
+    and ``rows`` the bins the solver gets (all of them, or the anchor bin
+    alone in flat-anchor mode).  :meth:`~BatchedGroupEvaluator.install`
+    fills the entries in and drops both arrays.  ``epoch`` is the
+    source's ``version_epoch`` at the walk (``None`` without one), and
+    ``scored`` whether :meth:`~BatchedGroupEvaluator.evaluate_many` has
+    read the rates.
+    """
+
+    __slots__ = ("groups", "entries", "missing", "versions", "band", "rows",
+                 "epoch", "scored")
+
+    def __init__(self, groups, entries, missing, epoch):
+        self.groups: Tuple[Group, ...] = groups
+        self.entries: Dict[Group, "_CacheEntry | None"] = entries
+        self.missing: List[Group] = missing
+        self.versions: List[Tuple[int, ...]] = []
+        self.band = self.rows = None
+        self.epoch = epoch
+        self.scored = False
 
 
 def solver_rows(rows: np.ndarray) -> np.ndarray:
@@ -104,25 +125,35 @@ class BatchedGroupEvaluator:
     version and thereby invalidates exactly the cached groups containing
     that client — everything else stays warm across slots.
 
+    A probe walks the memo once, in :meth:`plan`, which counts each full
+    candidate occurrence as a hit (its entry is current) or a miss (a
+    duplicate of a missing group is a miss again) and returns a
+    :class:`Probe` record.  :meth:`install` fills it in from the solver's
+    outputs, :meth:`evaluate_many` reads the rates from it, and the
+    winner's transmit (:meth:`transmit_filters`) reads its encodings and
+    filters from it as one more hit while the source's ``version_epoch``
+    has not moved.  Only the latest record is kept, until the transmit
+    drops it or the next probe replaces it; a group no probe scored (a
+    FIFO or fallback pick) walks the memo alone.
+
     The believed channels are mirrored in one ``(capacity, B, 3, M, M)``
     ndarray indexed by a per-client row (a flat source is ``B = 1``); a
     row is refreshed **only** when the client's channel-map version
     changed since the last sync (a drift report touches exactly one
-    row).  Stacking a probe's candidate groups is then one fancy-index
-    gather, and the gathered values are byte-for-byte the leader's
-    believed matrices.  Every bin of every group is one row of the same
-    solver batch (:func:`solver_rows`), so a band solves in the call
-    that solves a flat probe, and a one-bin band *is* the flat probe.
+    row).  Stacking a probe's missing groups is then one gather,
+    and the gathered values are byte-for-byte the leader's believed
+    matrices.  Every bin of every group is one row of the same solver
+    batch (:func:`solver_rows`), so a band solves in the call that
+    solves a flat probe, and a one-bin band *is* the flat probe.
 
-    The solve is split into :meth:`plan` (the groups a probe would
-    solve, gathered) and :meth:`install` (cache the solver's outputs), so
-    a driver can pool the plans of many evaluators into one solver call
+    A driver may pool many evaluators' solves: it stacks their records'
+    ``rows`` into one solver call and hands each slice to :meth:`install`
     (:func:`repro.sim.columnar.solve_wave`).
 
     The order of a group's clients encodes the AP assignment: packet ``i``
     goes from ``aps[i]`` to ``group[i]``.  Groups with fewer than three
     clients cannot align and score 0.0 (the selector still transmits them,
-    the solver just has nothing to batch).
+    the solver just has nothing to batch); they are not counted.
 
     ``source`` is where believed channels and their versions come from:
     ``source.channel_map(client)`` returns ``{ap_id: (M, M) matrix}`` — or,
@@ -158,109 +189,43 @@ class BatchedGroupEvaluator:
         self._cache: Dict[Group, _CacheEntry] = {}
         self.hits = 0
         self.misses = 0
-        #: Groups installed ahead of the probe that scores them (a pooled
-        #: solve across cells); that probe counts them as misses, so the
-        #: counters read as if this evaluator had solved them itself.
-        self._presolved: set = set()
+        #: The latest probe's record (:class:`Probe`), until the winner's
+        #: transmit reads it or the next probe replaces it.
+        self._probe: "Probe | None" = None
         self._rows: Dict[int, int] = {}
         self._bel: np.ndarray | None = None  # (capacity, B, 3, M, M) mirror
-        self._bel_versions: np.ndarray | None = None  # (capacity,) int64
+        #: Per-row channel-map version the mirror row holds (-1 = empty).
+        self._bel_versions: List[int] = []
         #: Source ``version_epoch`` at which each row was last confirmed
         #: fresh (-1 = never): lets :meth:`_sync` skip even the per-client
         #: version poll while the leader's table is globally unchanged.
-        self._row_epochs: np.ndarray | None = None  # (capacity,) int64
+        self._row_epochs: List[int] = []
 
     def cache_info(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._cache)}
 
-    def _lookup(self, group: Group) -> "_CacheEntry | None":
-        """Cached entry for ``group`` if still current, else ``None``.
-
-        Fast path: when the source exposes a global ``version_epoch`` and
-        it hasn't moved since this entry was last validated, no client's
-        version can have changed, so the per-member version poll is
-        skipped — the hit/miss decision is identical either way.
-        """
-        entry = self._cache.get(group)
-        if entry is None:
-            return None
-        epoch = getattr(self.source, "version_epoch", None)
-        if epoch is not None and entry.validated_epoch == epoch:
-            return entry
-        versions = tuple(self.source.channel_version(c) for c in group)
-        if entry.versions == versions:
-            if epoch is not None:
-                entry.validated_epoch = epoch
-            return entry
-        return None
-
     def evaluate_many(self, groups: Sequence[Group]) -> List[float]:
-        groups = [tuple(g) for g in groups]
-        rates: List[float] = [0.0] * len(groups)
-        missing: List[Group] = []
-        missing_idx: List[List[int]] = []
-        position: Dict[Group, int] = {}
-        # Inline of :meth:`_lookup` with the epoch and the version
-        # accessor hoisted out of the loop (this runs on every probe).
-        # Decisions are identical.
-        cache_get = self._cache.get
-        epoch = getattr(self.source, "version_epoch", None)
-        channel_version = self.source.channel_version
-        for i, group in enumerate(groups):
-            if len(group) < GROUP_SIZE:
-                continue
-            if len(group) > GROUP_SIZE:
-                raise ValueError(f"group {group} exceeds {GROUP_SIZE} clients")
-            entry = cache_get(group)
-            if entry is not None:
-                if epoch is not None and entry.validated_epoch == epoch:
-                    rates[i] = entry.rate
-                    self.hits += 1
-                    continue
-                if entry.versions == tuple(channel_version(c) for c in group):
-                    if epoch is not None:
-                        entry.validated_epoch = epoch
-                    rates[i] = entry.rate
-                    self.hits += 1
-                    continue
-            self.misses += 1
-            if group in position:  # duplicate within this probe
-                missing_idx[position[group]].append(i)
-            else:
-                position[group] = len(missing)
-                missing.append(group)
-                missing_idx.append([i])
-        if missing:
-            self._solve_batch(missing)
-            for group, idxs in zip(missing, missing_idx):
-                rate = self._cache[group].rate
-                for i in idxs:
-                    rates[i] = rate
-        if self._presolved:
-            # Each occurrence was counted as a hit above; alone, it would
-            # have been a miss.
-            n = sum(group in self._presolved for group in groups)
-            self.hits -= n
-            self.misses += n
-            self._presolved.clear()
-        return rates
+        """The rates of ``groups``: read from the record of their probe.
 
-    def _solve_batch(self, groups: Sequence[Group]) -> None:
-        plan = self._plan(groups)
-        self.install(plan, solve_downlink_three_batch(
-            solver_rows(plan.rows), self.noise_power, return_filters=True
-        ))
-
-    def _cached_entry(self, group: Group) -> _CacheEntry:
-        if len(group) != GROUP_SIZE:
-            raise ValueError(f"group {group} does not have {GROUP_SIZE} clients")
-        entry = self._lookup(group)
-        if entry is None:
-            self.misses += 1
-            self._solve_batch([group])
-            return self._cache[group]
-        self.hits += 1
-        return entry
+        When the latest record is an unscored probe of these groups (a
+        driver planned and maybe solved it), its rates are read as they
+        stand, solving first what is still missing; otherwise this runs
+        the probe itself: :meth:`plan`, one solve of the missing groups,
+        :meth:`install`.
+        """
+        groups = tuple(map(tuple, groups))
+        probe = self._probe
+        if probe is None or probe.scored or probe.groups != groups:
+            probe = self.plan(groups)
+        if probe.rows is not None:
+            self.install(probe, solve_downlink_three_batch(
+                solver_rows(probe.rows), self.noise_power, return_filters=True
+            ))
+        probe.scored = True
+        entries = probe.entries
+        return [
+            entries[g].rate if len(g) == GROUP_SIZE else 0.0 for g in groups
+        ]
 
     def evaluate(self, group: Group) -> float:
         return self.evaluate_many([tuple(group)])[0]
@@ -278,27 +243,42 @@ class BatchedGroupEvaluator:
         decoded at client ``group[i]``.
 
         Uses the memoised per-bin encodings and believed-design receive
-        filters (the selector just scored this group) and designs only
-        the genie filters, in one vectorised pass over bins and
-        receivers — see
+        filters (:meth:`transmit_filters`) and designs only the genie
+        filters, in one vectorised pass over bins and receivers — see
         :func:`repro.engine.batched.downlink_transmit_sinrs_cached`.
         """
-        entry = self._cached_entry(tuple(group))
+        encodings, w_bel = self.transmit_filters(group)
         return downlink_transmit_sinrs_cached(
-            h_true, entry.encodings, entry.w_bel, self.noise_power
+            h_true, encodings, w_bel, self.noise_power
         )
 
     def transmit_filters(self, group: Group) -> Tuple[np.ndarray, np.ndarray]:
         """The memoised ``(B, 3, M)`` encodings and believed-design filters.
 
-        What a transmit decode of ``group`` needs from the solve (the
-        selector just scored it, so this is a cache hit).  The columnar
-        slot path gathers the true channels itself and decodes every
-        aligned slot of a run in one
+        What a transmit decode of ``group`` needs from the solve.  The
+        winner of the latest probe reads them from its record, one hit
+        (epoch unchanged since the walk, so the record's entry is what a
+        lookup would find); any other group walks the memo alone,
+        solving on a miss.  Either way the record is dropped.  The
+        columnar slot path gathers the true channels itself and decodes
+        every aligned slot of a run in one
         :func:`~repro.engine.batched.downlink_transmit_sinrs_cached` call
         (:func:`repro.sim.columnar.transmit_wave`).
         """
-        entry = self._cached_entry(tuple(group))
+        group = tuple(group)
+        if len(group) != GROUP_SIZE:
+            raise ValueError(f"group {group} does not have {GROUP_SIZE} clients")
+        probe, self._probe = self._probe, None
+        entry = None
+        if probe is not None and probe.epoch is not None and (
+            probe.epoch == getattr(self.source, "version_epoch", None)
+        ):
+            entry = probe.entries.get(group)
+        if entry is not None:
+            self.hits += 1
+        else:
+            self.evaluate_many((group,))
+            entry, self._probe = self._probe.entries[group], None
         return entry.encodings, entry.w_bel
 
     # -------------------------- mirror plumbing ----------------------- #
@@ -310,21 +290,21 @@ class BatchedGroupEvaluator:
             n_bins = h.shape[0] if h.ndim == 3 else 1
             m = h.shape[-1]
             self._bel = np.zeros((0, n_bins, len(self.aps), m, m), dtype=complex)
-            self._bel_versions = np.zeros(0, dtype=np.int64)
-            self._row_epochs = np.zeros(0, dtype=np.int64)
         n = self._bel.shape[0]
         if row >= n:
             pad = max(8, 2 * n, row + 1) - n
             self._bel = np.concatenate(
                 [self._bel, np.zeros((pad,) + self._bel.shape[1:], dtype=complex)]
             )
-            self._bel_versions = np.append(self._bel_versions, np.full(pad, -1))
-            self._row_epochs = np.append(self._row_epochs, np.full(pad, -1))
+            self._bel_versions += [-1] * pad
+            self._row_epochs += [-1] * pad
 
-    def _sync(self, client: int) -> int:
-        """Row of ``client`` in the mirror, refreshed iff its version moved."""
+    def _sync(self, client: int, epoch: "int | None") -> int:
+        """Row of ``client`` in the mirror, refreshed iff its version moved.
+
+        ``epoch`` is the source's ``version_epoch`` (``None`` without one).
+        """
         row = self._rows.get(client)
-        epoch = getattr(self.source, "version_epoch", None)
         if row is not None and epoch is not None and self._row_epochs[row] == epoch:
             # Global epoch unchanged since this row was confirmed fresh:
             # the client's version cannot have moved either.
@@ -338,11 +318,11 @@ class BatchedGroupEvaluator:
         if row is None:
             row = len(self._rows)
             self._rows[client] = row
-        self._grow(row, cmap)
+            self._grow(row, cmap)
         h = [cmap[ap] for ap in self.aps]
         if h[0].ndim == 2:
-            # AP-major ``(3, M, M)`` flat matrices broadcast over the one bin.
-            self._bel[row] = h
+            # The three AP-major ``(M, M)`` matrices into the one bin.
+            self._bel[row, 0] = h
         else:
             # ``(3, B, M, M)`` bands swap to the row's ``(B, 3, M, M)``.
             self._bel[row] = np.array(h).swapaxes(0, 1)
@@ -351,69 +331,101 @@ class BatchedGroupEvaluator:
             self._row_epochs[row] = epoch
         return row
 
-    def _plan(self, groups: Sequence[Group]) -> Plan:
-        """Gather ``groups``' believed rows and version keys.
-
-        Sync each distinct client once, in first-appearance order:
-        ``_sync`` is idempotent between source mutations, so this is
-        observationally identical to calling it per (group, member).
-        """
-        sync = self._sync
-        memo = {c: sync(c) for c in dict.fromkeys(c for g in groups for c in g)}
-        rows = np.array([[memo[c] for c in g] for g in groups])
-        versions = [tuple(v) for v in self._bel_versions[rows].tolist()]
-        band = self._bel[rows]
-        n_bins = band.shape[2]
-        if self.alignment == "flat_anchor" and n_bins > 1:
-            anchor = n_bins // 2
-            return Plan(groups, versions, band, band[:, :, anchor:anchor + 1])
-        return Plan(groups, versions, band, band)
-
     # ------------------------- plan / install ------------------------- #
 
-    def plan(self, groups: Sequence[Group]) -> "Plan | None":
-        """The solve a probe of ``groups`` needs, or ``None`` if it needs none.
+    def plan(self, groups: Sequence[Group]) -> Probe:
+        """Walk the memo for a probe of ``groups``; its :class:`Probe` record.
 
-        The :class:`Plan` of the distinct groups :meth:`evaluate_many`
-        would solve (in its order).  Nothing is counted.  A driver stacks
-        the ``rows`` of many evaluators' plans into one
+        The one memo walk of a probe, and where its hits and misses are
+        counted.  The record becomes this evaluator's latest; its
+        ``rows`` (``None`` if nothing is missing) are the solver input of
+        the missing groups, which a driver may stack with other
+        evaluators' into one
         :func:`~repro.engine.batched.solve_downlink_three_batch` call (the
         solver is batch-invariant, so each group's outputs do not depend
-        on its batch-mates), then hands each slice to :meth:`install`.
+        on its batch-mates) before handing each slice to :meth:`install`.
         """
+        groups = tuple(map(tuple, groups))
+        entries: Dict[Group, "_CacheEntry | None"] = {}
         missing: List[Group] = []
-        for group in dict.fromkeys(tuple(g) for g in groups):
-            if len(group) == GROUP_SIZE and self._lookup(group) is None:
+        hits = misses = 0
+        cache_get = self._cache.get
+        epoch = getattr(self.source, "version_epoch", None)
+        channel_version = self.source.channel_version
+        for group in groups:
+            if len(group) != GROUP_SIZE:
+                if len(group) > GROUP_SIZE:
+                    raise ValueError(f"group {group} exceeds {GROUP_SIZE} clients")
+                continue
+            if group in entries:  # a duplicate within this probe
+                if entries[group] is None:
+                    misses += 1
+                else:
+                    hits += 1
+                continue
+            entry = cache_get(group)
+            if entry is not None and (
+                (epoch is not None and entry.validated_epoch == epoch)
+                or entry.versions == tuple([channel_version(c) for c in group])
+            ):
+                if epoch is not None:
+                    entry.validated_epoch = epoch
+                entries[group] = entry
+                hits += 1
+            else:
+                entries[group] = None
                 missing.append(group)
-        if not missing:
-            return None
-        return self._plan(missing)
+                misses += 1
+        self.hits += hits
+        self.misses += misses
+        probe = self._probe = Probe(groups, entries, missing, epoch)
+        if missing:
+            # Sync each distinct client once, in first-appearance order:
+            # ``_sync`` is idempotent between source mutations.
+            sync = self._sync
+            memo: Dict[int, int] = {}
+            rows = []
+            for group in missing:
+                for c in group:
+                    row = memo.get(c)
+                    if row is None:
+                        row = memo[c] = sync(c, epoch)
+                    rows.append(row)
+            versions = self._bel_versions
+            # Each group's version key: consecutive triples of ``rows``.
+            keys = iter([versions[r] for r in rows])
+            probe.versions = list(zip(*[keys] * GROUP_SIZE))
+            bel = self._bel
+            band = probe.band = bel.take(rows, axis=0).reshape(
+                (len(missing), GROUP_SIZE) + bel.shape[1:]
+            )
+            n_bins = band.shape[2]
+            if self.alignment == "flat_anchor" and n_bins > 1:
+                anchor = n_bins // 2
+                probe.rows = band[:, :, anchor:anchor + 1]
+            else:
+                probe.rows = band
+        return probe
 
-    def install(
-        self,
-        plan: Plan,
-        solved: Sequence[np.ndarray],
-        presolved: bool = False,
-    ) -> None:
-        """Cache the solver outputs ``solved`` of ``plan.rows``.
+    def install(self, probe: Probe, solved: Sequence[np.ndarray]) -> None:
+        """Fill ``probe``'s missing entries from the solver outputs of its rows.
 
         ``solved`` is the ``(encodings, rates, sinrs, filters)`` of
         :func:`~repro.engine.batched.solve_downlink_three_batch` with
         ``return_filters=True``, one row per (group, solved bin).  A
-        flat-anchor plan's anchor solutions are scored here on every bin
+        flat-anchor probe's anchor solutions are scored here on every bin
         of the band.  The group's rate is its per-bin sum rate averaged
-        over the band (b/s/Hz, comparable across bin counts).
-        ``presolved`` marks groups installed ahead of the probe that
-        scores them, so that probe counts them as misses.
+        over the band (b/s/Hz, comparable across bin counts).  Each entry
+        goes into the cache and into the record, whose rows are dropped.
         """
         encodings, rates, sinrs, w_bel = solved
-        n_groups, _, n_bins = plan.band.shape[:3]
+        n_groups, _, n_bins = probe.band.shape[:3]
         m = encodings.shape[-1]
-        if plan.rows is not plan.band:
+        if probe.rows is not probe.band:
             # Flat anchor: the anchor's encodings, scored on every bin.
             encodings = np.repeat(encodings, n_bins, axis=0)
             sinrs, w_bel = downlink_sinrs_batch(
-                solver_rows(plan.band), encodings, self.noise_power,
+                solver_rows(probe.band), encodings, self.noise_power,
                 return_filters=True,
             )
             rates = np.log2(1.0 + sinrs).sum(axis=-1)
@@ -423,14 +435,11 @@ class BatchedGroupEvaluator:
         if n_bins > 1:  # a one-bin mean is the bin's rate itself
             rates = rates.reshape(n_groups, n_bins).mean(axis=-1)
         epoch = getattr(self.source, "version_epoch", -1)
-        for g, group in enumerate(plan.groups):
-            self._cache[group] = _CacheEntry(
-                versions=plan.versions[g],
-                rate=float(rates[g]),
-                encodings=encodings[g],
-                sinrs=sinrs[g],
-                w_bel=w_bel[g],
-                validated_epoch=epoch,
+        cache, entries = self._cache, probe.entries
+        for group, versions, rate, v, s, w in zip(
+            probe.missing, probe.versions, rates.tolist(), encodings, sinrs, w_bel
+        ):
+            cache[group] = entries[group] = _CacheEntry(
+                versions, rate, v, s, w, epoch
             )
-        if presolved:
-            self._presolved.update(plan.groups)
+        probe.band = probe.rows = None

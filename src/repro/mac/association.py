@@ -194,23 +194,31 @@ class LeaderAP:
         self.version_epoch = 0
         self._quarantined: set = set()
 
-    def handle_association(
+    def handle_associations(
         self,
-        client_id: int,
-        estimates: Dict[int, np.ndarray],
-    ) -> AssociationRecord:
-        """Process an association broadcast heard by all APs (§8a)."""
-        record = self.table.associate(client_id)
-        missing = set(self.ap_ids) - set(estimates)
+        client_ids: Sequence[int],
+        ap_ids: Sequence[int],
+        soundings: Sequence[Sequence[np.ndarray]],
+    ) -> None:
+        """Register a §8a sounding pass heard by all APs: ``soundings[i][j]``
+        is ``ap_ids[j]``'s estimate of ``client_ids[i]``.
+
+        One check that the pass covers every AP; then, per client in
+        order, its record and estimates, and a version and epoch bump.
+        """
+        missing = set(self.ap_ids) - set(ap_ids)
         if missing:
             raise ValueError(f"association must carry estimates from all APs; missing {sorted(missing)}")
-        record.channels.update({ap: np.asarray(h, dtype=complex) for ap, h in estimates.items()})
-        # A fresh association is a full re-sounding (§8a): any CSI
-        # quarantine from a previous life of this client id is moot.
-        self._quarantined.discard(client_id)
-        self._channel_versions[client_id] = self._channel_versions.get(client_id, 0) + 1
-        self.version_epoch += 1
-        return record
+        versions = self._channel_versions
+        for client_id, heard in zip(client_ids, soundings):
+            self.table.associate(client_id).channels.update(
+                zip(ap_ids, [np.asarray(h, dtype=complex) for h in heard])
+            )
+            # A fresh association is a full re-sounding (§8a): any CSI
+            # quarantine from a previous life of this client id is moot.
+            self._quarantined.discard(client_id)
+            versions[client_id] = versions.get(client_id, 0) + 1
+            self.version_epoch += 1
 
     def handle_disassociation(self, client_id: int) -> None:
         """Deregister a departing client (churn).
@@ -289,7 +297,7 @@ class LeaderAP:
     def channel_version(self, client_id: int) -> int:
         """Version counter of the client's believed channel map.
 
-        Changes exactly when :meth:`handle_association` or
+        Changes exactly when :meth:`handle_associations` or
         :meth:`handle_update` touches the client's channels, which makes it
         the engine's memoisation key (see :mod:`repro.engine`).
         """

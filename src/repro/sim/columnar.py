@@ -375,32 +375,42 @@ def _track_acks(flushes: Sequence[tuple]) -> None:
     quarantine bookkeeping included) in exact (ack, client, AP) order,
     the mirror write-back and ``update_bytes``.  Tracker-dict stores are
     deferred to :meth:`~repro.sim.events.CellStepper.finish`
-    (``stepper.tracked``).
+    (``stepper.tracked``).  A one-flush call (every wave of a one-cell
+    run) builds no pools.
     """
-    pools: Dict[tuple, list] = {}
+    live = []
     for flush in flushes:
-        stepper, active, rows, ack_h = flush
+        stepper, active, rows, _ = flush
         if not active:
             continue
-        sim = stepper.sim
-        T = stepper.T
         # Resync mirror rows invalidated by churn (fresh association state).
         if not stepper.T_valid[rows].all():
+            sim = stepper.sim
             for c, r in zip(active, rows):
                 if not stepper.T_valid[r].all():
                     for j, a in enumerate(sim.ap_ids):
-                        T[r, j] = sim.subordinates[a].channel_to(c)
+                        stepper.T[r, j] = sim.subordinates[a].channel_to(c)
                     stepper.T_valid[r] = True
-        key = (len(ack_h), ack_h.shape[-1], stepper.alpha,
-               stepper.drift_threshold)
-        pools.setdefault(key, []).append(flush)
-    for (_, m, alpha, threshold), cells in pools.items():
+        live.append(flush)
+    if len(live) == 1:
+        cell_pools = [live]
+    else:
+        pools: Dict[tuple, list] = {}
+        for flush in live:
+            stepper, ack_h = flush[0], flush[3]
+            key = (len(ack_h), ack_h.shape[-1], stepper.alpha,
+                   stepper.drift_threshold)
+            pools.setdefault(key, []).append(flush)
+        cell_pools = pools.values()
+    for cells in cell_pools:
+        first = cells[0][0]
         S, drifted = _drifts(
-            [stepper.T[rows] for stepper, _, rows, _ in cells],
+            [(stepper.T, rows) for stepper, _, rows, _ in cells],
             cells[0][3] if len(cells) == 1
             else np.concatenate([flush[3] for flush in cells], axis=1),
-            alpha, threshold,
+            first.alpha, first.drift_threshold,
         )
+        m = S.shape[-1]
         start = 0
         for stepper, active, rows, _ in cells:
             sim = stepper.sim
@@ -430,14 +440,16 @@ def _track_acks(flushes: Sequence[tuple]) -> None:
         sim.stats.update_bytes = sim._update_bytes_base + sim.leader.update_bytes
 
 
-def _drifts(priors: List[np.ndarray], ack_h: np.ndarray, alpha: float,
+def _drifts(priors: List[tuple], ack_h: np.ndarray, alpha: float,
             threshold: float) -> Tuple[np.ndarray, np.ndarray]:
     """The smoothing trajectory and drift verdicts of K acks over P rows.
 
-    ``priors`` are the mirror's ``(n, A, M, M)`` blocks whose ``n·A``
-    rows, in order, are the P columns of ``ack_h`` (``(K, P, M, M)``,
-    scaled in place).  Returns ``S``, ``(K+1, P, M, M)`` with the priors
-    at ``S[0]`` and ack k's smoothed rows at ``S[k+1]``, and the
+    ``priors`` are ``(T, rows)`` pairs: the mirror blocks ``T[rows]``
+    (``(n, A, M, M)`` each) whose ``n·A`` rows, in order, are the P
+    columns of ``ack_h`` (``(K, P, M, M)``, scaled in place); each block
+    is gathered straight into ``S[0]``.  Returns ``S``, ``(K+1, P, M,
+    M)`` with the priors at ``S[0]`` and ack k's smoothed rows at
+    ``S[k+1]``, and the
     ``(K, P)`` verdicts ``|S[k+1] - S[k]| / |S[k]| > threshold``.  The
     recurrence is inherently sequential across acks, but everything
     around it is not: one in-place scale covers all K acks (``alpha`` is
@@ -450,7 +462,12 @@ def _drifts(priors: List[np.ndarray], ack_h: np.ndarray, alpha: float,
     alpha_h = np.multiply(alpha, ack_h, out=ack_h)
     beta = 1.0 - alpha
     S = np.empty((K + 1, P, m, m), dtype=alpha_h.dtype)
-    np.concatenate([p.reshape(-1, m, m) for p in priors], out=S[0])
+    start = 0
+    for T, rows in priors:
+        stop = start + len(rows) * T.shape[1]
+        out = S[0, start:stop].reshape((len(rows),) + T.shape[1:])
+        np.take(T, rows, axis=0, out=out)
+        start = stop
     cur = S[0]
     for k in range(K):
         nxt = S[k + 1]
@@ -577,36 +594,36 @@ def solve_wave(paused) -> None:
     ``paused`` holds ``(stepper, pending)`` pairs of slots paused after
     the selector's ``propose``, one per cell of a shard (cells of one
     shard share the antenna count and the noise power).  Each cell's
-    :class:`~repro.engine.BatchedGroupEvaluator` plans the groups its
-    ``resolve`` would solve (gathered from its believed-channel mirror,
-    every bin of a wideband cell a row of its own); the plans' rows are
-    stacked into one :func:`solve_downlink_three_batch` call, and each
-    slice goes back into its own evaluator's cache.  The solver is
-    batch-invariant, so every cache entry is the one the cell would have
-    solved alone, and ``resolve`` then finds every group cached.
+    :class:`~repro.engine.BatchedGroupEvaluator` walks its memo once for
+    the slot's candidate groups (``plan``: the probe's one count of hits
+    and misses), gathering the missing groups' rows from its
+    believed-channel mirror, every bin of a wideband cell a row of its
+    own; the probes' rows are stacked into one
+    :func:`solve_downlink_three_batch` call, and each slice fills in its
+    own evaluator's probe record.  The solver is batch-invariant, so
+    every cache entry is the one the cell would have solved alone, and
+    ``resolve`` then reads every rate from the record.
     """
-    plans = []
+    probes = []
     for stepper, pending in paused:
         evaluator = stepper.sim.evaluator
-        plan = evaluator.plan(pending.proposal.groups)
-        if plan is not None:
-            plans.append((evaluator, plan))
-    if not plans:
+        probe = evaluator.plan(pending.proposal.groups)
+        if probe.rows is not None:
+            probes.append((evaluator, probe))
+    if not probes:
         return
-    # A one-cell wave (every slot of a one-cell run) hands its gathered
-    # rows over as they are.  Cells may differ in bin count and alignment
-    # mode, so a pooled wave stacks rows in the solver's layout.
-    rows = [solver_rows(plan.rows) for _, plan in plans]
+    # A wave with one probe to solve hands its gathered rows over as they
+    # are.  Cells may differ in bin count and alignment mode, so a pooled
+    # wave stacks rows in the solver's layout.
+    rows = [solver_rows(probe.rows) for _, probe in probes]
     solved = solve_downlink_three_batch(
         rows[0] if len(rows) == 1 else np.concatenate(rows),
-        plans[0][0].noise_power, return_filters=True,
+        probes[0][0].noise_power, return_filters=True,
     )
     start = 0
-    for (evaluator, plan), cell_rows in zip(plans, rows):
+    for (evaluator, probe), cell_rows in zip(probes, rows):
         stop = start + len(cell_rows)
-        evaluator.install(
-            plan, [out[start:stop] for out in solved], presolved=True
-        )
+        evaluator.install(probe, [out[start:stop] for out in solved])
         start = stop
 
 
@@ -628,13 +645,14 @@ def transmit_entry(stepper, pending: _Pending) -> tuple:
 
     ``(sim, group, rates, h_true, v, w_bel)``: the true channels copied
     out of this slot's fading stack (the transmit APs are the first
-    three), and the memoised encodings and believed-design filters,
-    read now so the evaluator's cache moves as at an immediate decode.
+    three), and the winner's encodings and believed-design filters from
+    the slot's probe record, read now so the evaluator's counters move
+    as at an immediate decode.
     """
     sim = stepper.sim
     group = pending.served
-    cols = [sim._row[c] for c in group]
-    h_true = sim.fading.stack[stepper.row_ca[cols, :3].T]
+    cols = stepper.row_ca.take([sim._row[c] for c in group], axis=0)
+    h_true = sim.fading.stack.take(cols[:, :3].T, axis=0)
     encodings, filters = sim.evaluator.transmit_filters(group)
     # A fast-track cell is flat: its one bin.
     return sim, group, pending.rates, h_true, encodings[0], filters[0]

@@ -630,11 +630,9 @@ class WLANSimulation:
             soundings = [[self._sound(a, c) for a in aps] for c in clients]
         else:
             soundings = self.fading.channel_grid(aps, clients)
-        heard = [dict(zip(aps, h)) for h in soundings]
-        for c, estimates in zip(clients, heard):
-            self.leader.handle_association(c, estimates)
-        for a, subordinate in zip(aps, subordinates):
-            subordinate.associate(clients, [estimates[a] for estimates in heard])
+        self.leader.handle_associations(clients, aps, soundings)
+        for j, subordinate in enumerate(subordinates):
+            subordinate.associate(clients, [heard[j] for heard in soundings])
 
     def _true_channels(self, group: Tuple[int, ...]) -> np.ndarray:
         """The ``(B, 3, 3, M, M)`` true band of ``group``: ``[b, i, j]``
@@ -830,11 +828,11 @@ class WLANSimulation:
             ap_ids=self.ap_ids,
             csi_guard=self._csi_guard,
         )
-        for c in sorted(self._active):
-            estimates = {
-                a: self.subordinates[a].channel_to(c) for a in self.ap_ids
-            }
-            new_leader.handle_association(c, estimates)
+        survivors = sorted(self._active)
+        new_leader.handle_associations(survivors, self.ap_ids, [
+            [self.subordinates[a].channel_to(c) for a in self.ap_ids]
+            for c in survivors
+        ])
         self.leader = new_leader
         if len(self.ap_ids) >= 3:
             self._transmit_aps = tuple(self.ap_ids[:3])

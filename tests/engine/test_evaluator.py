@@ -140,10 +140,9 @@ class TestMemoisation:
         """A drift report for a member client forces a re-solve."""
         leader = LeaderAP(ap_id=0, ap_ids=list(APS))
         rng = np.random.default_rng(21)
-        for c in GROUP:
-            leader.handle_association(
-                c, {a: rayleigh_channel(2, 2, rng) for a in APS}
-            )
+        leader.handle_associations(GROUP, APS, [
+            [rayleigh_channel(2, 2, rng) for _ in APS] for _ in GROUP
+        ])
         evaluator = BatchedGroupEvaluator(leader, APS)
         before = evaluator.evaluate(GROUP)
         assert evaluator.evaluate(GROUP) == before

@@ -13,6 +13,11 @@ from repro.mac.association import (
 from repro.phy.channel.model import rayleigh_channel
 
 
+def associate(leader, client, estimates):
+    """One client's association: a one-client sounding pass."""
+    leader.handle_associations([client], list(estimates), [list(estimates.values())])
+
+
 class TestElection:
     def test_lowest_id_wins(self):
         assert elect_leader([7, 3, 9]) == 3
@@ -86,21 +91,19 @@ class TestLeader:
     def test_association_requires_all_estimates(self, rng):
         leader = self._leader()
         with pytest.raises(ValueError):
-            leader.handle_association(7, {0: rayleigh_channel(2, 2, rng)})
+            associate(leader, 7, {0: rayleigh_channel(2, 2, rng)})
 
     def test_association_stores_channels(self, rng):
         leader = self._leader()
         estimates = {ap: rayleigh_channel(2, 2, rng) for ap in (0, 1, 2)}
-        leader.handle_association(7, estimates)
+        associate(leader, 7, estimates)
         cmap = leader.channel_map(7)
         assert set(cmap) == {0, 1, 2}
         assert np.allclose(cmap[1], estimates[1])
 
     def test_update_refreshes_and_accounts(self, rng):
         leader = self._leader()
-        leader.handle_association(
-            7, {ap: rayleigh_channel(2, 2, rng) for ap in (0, 1, 2)}
-        )
+        associate(leader, 7, {ap: rayleigh_channel(2, 2, rng) for ap in (0, 1, 2)})
         new_h = rayleigh_channel(2, 2, rng)
         leader.handle_update(ChannelUpdate(ap_id=1, client_id=7, h=new_h))
         assert np.allclose(leader.channel_map(7)[1], new_h)
@@ -118,7 +121,7 @@ class TestLeader:
         leader = self._leader()
         subordinate = SubordinateAP(ap_id=1, drift_threshold=0.15)
         h = rayleigh_channel(2, 2, rng)
-        leader.handle_association(7, {0: h, 1: h, 2: h})
+        associate(leader, 7, {0: h, 1: h, 2: h})
         reports = 0
         for step in range(10):
             # Slow drift: small perturbation each step.
@@ -136,7 +139,7 @@ class TestCsiGuard:
     def _leader_with_client(self, rng, csi_guard=4.0):
         leader = LeaderAP(ap_id=0, ap_ids=[0, 1, 2], csi_guard=csi_guard)
         estimates = {ap: rayleigh_channel(2, 2, rng) for ap in (0, 1, 2)}
-        leader.handle_association(7, estimates)
+        associate(leader, 7, estimates)
         return leader, estimates
 
     def test_plausible_update_accepted(self, rng):
@@ -181,9 +184,7 @@ class TestCsiGuard:
         leader, estimates = self._leader_with_client(rng)
         garbage = estimates[1] + 100.0 * rayleigh_channel(2, 2, rng)
         leader.handle_update(ChannelUpdate(ap_id=1, client_id=7, h=garbage))
-        leader.handle_association(
-            7, {ap: rayleigh_channel(2, 2, rng) for ap in (0, 1, 2)}
-        )
+        associate(leader, 7, {ap: rayleigh_channel(2, 2, rng) for ap in (0, 1, 2)})
         assert not leader.is_quarantined(7)
 
     def test_no_guard_trusts_everything(self, rng):
@@ -192,3 +193,32 @@ class TestCsiGuard:
         garbage = estimates[1] + 100.0 * rayleigh_channel(2, 2, rng)
         assert leader.handle_update(ChannelUpdate(ap_id=1, client_id=7, h=garbage))
         assert not leader.is_quarantined(7)
+
+
+class TestSoundingPass:
+    """A whole sounding pass registers in one call."""
+
+    def test_pass_equals_one_client_at_a_time(self, rng):
+        soundings = [[rayleigh_channel(2, 2, rng) for _ in range(3)] for _ in range(4)]
+        batch = LeaderAP(ap_id=0, ap_ids=[0, 1, 2])
+        batch.handle_associations([5, 3, 8, 5], [0, 1, 2], soundings)
+        single = LeaderAP(ap_id=0, ap_ids=[0, 1, 2])
+        for c, heard in zip([5, 3, 8, 5], soundings):
+            associate(single, c, dict(zip([0, 1, 2], heard)))
+        assert batch.version_epoch == single.version_epoch == 4
+        for c in (3, 5, 8):
+            assert batch.channel_version(c) == single.channel_version(c)
+            assert (batch.table.record(c).association_id
+                    == single.table.record(c).association_id)
+            for ap in (0, 1, 2):
+                np.testing.assert_array_equal(
+                    batch.channel_map(c)[ap], single.channel_map(c)[ap]
+                )
+
+    def test_pass_missing_an_ap_registers_nobody(self, rng):
+        leader = LeaderAP(ap_id=0, ap_ids=[0, 1, 2])
+        with pytest.raises(ValueError, match=r"missing \[2\]"):
+            leader.handle_associations(
+                [7, 8], [0, 1], [[rayleigh_channel(2, 2, rng)] * 2] * 2
+            )
+        assert len(leader.table) == 0 and leader.version_epoch == 0
