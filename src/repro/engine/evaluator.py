@@ -11,14 +11,10 @@ memoises per-group solutions keyed on the channel-map versions of the
 group's clients, so unchanged groups are never re-solved between drift
 reports.
 
-A probe walks the memo once: :meth:`~BatchedGroupEvaluator.plan` counts
-its hits and misses and returns a :class:`Probe` record of each
-candidate group's live entry or gathered solver rows;
-:meth:`~BatchedGroupEvaluator.install` fills it in, and the scoring
-(:meth:`~BatchedGroupEvaluator.evaluate_many`) and the winner's transmit
-(:meth:`~BatchedGroupEvaluator.transmit_filters`) read it.  The
-plan/install split lets the columnar slot path pool the solves of many
-cells into one call.
+A probe walks the memo once, in :meth:`~BatchedGroupEvaluator.plan`,
+where its hits and misses are counted; the scoring and the winner's
+transmit read its :class:`Probe` record.  The plan/install split lets
+the columnar slot path pool the solves of many cells into one call.
 
 The pre-engine scalar path (one
 :func:`~repro.core.alignment.solve_downlink_three_packets` +
@@ -132,9 +128,11 @@ class BatchedGroupEvaluator:
     outputs, :meth:`evaluate_many` reads the rates from it, and the
     winner's transmit (:meth:`transmit_filters`) reads its encodings and
     filters from it as one more hit while the source's ``version_epoch``
-    has not moved.  Only the latest record is kept, until the transmit
-    drops it or the next probe replaces it; a group no probe scored (a
-    FIFO or fallback pick) walks the memo alone.
+    has not moved.  Only the latest record is kept, and only for its
+    slot: the transmit drops it, and a slot that transmits no aligned
+    group drops it with :meth:`release`.  A record taken before the
+    epoch moved is never read; a group no probe scored (a FIFO or
+    fallback pick) walks the memo alone.
 
     The believed channels are mirrored in one ``(capacity, B, 3, M, M)``
     ndarray indexed by a per-client row (a flat source is ``B = 1``); a
@@ -190,7 +188,7 @@ class BatchedGroupEvaluator:
         self.hits = 0
         self.misses = 0
         #: The latest probe's record (:class:`Probe`), until the winner's
-        #: transmit reads it or the next probe replaces it.
+        #: transmit reads it or :meth:`release` drops it.
         self._probe: "Probe | None" = None
         self._rows: Dict[int, int] = {}
         self._bel: np.ndarray | None = None  # (capacity, B, 3, M, M) mirror
@@ -207,15 +205,15 @@ class BatchedGroupEvaluator:
     def evaluate_many(self, groups: Sequence[Group]) -> List[float]:
         """The rates of ``groups``: read from the record of their probe.
 
-        When the latest record is an unscored probe of these groups (a
-        driver planned and maybe solved it), its rates are read as they
-        stand, solving first what is still missing; otherwise this runs
-        the probe itself: :meth:`plan`, one solve of the missing groups,
-        :meth:`install`.
+        When the latest record is an unscored probe of these groups taken
+        at the source's current ``version_epoch`` (a driver planned and
+        maybe solved it), its rates are read as they stand, solving first
+        what is still missing; otherwise this runs the probe itself:
+        :meth:`plan`, one solve of the missing groups, :meth:`install`.
         """
         groups = tuple(map(tuple, groups))
         probe = self._probe
-        if probe is None or probe.scored or probe.groups != groups:
+        if not self._current(probe) or probe.scored or probe.groups != groups:
             probe = self.plan(groups)
         if probe.rows is not None:
             self.install(probe, solve_downlink_three_batch(
@@ -256,12 +254,10 @@ class BatchedGroupEvaluator:
         """The memoised ``(B, 3, M)`` encodings and believed-design filters.
 
         What a transmit decode of ``group`` needs from the solve.  The
-        winner of the latest probe reads them from its record, one hit
-        (epoch unchanged since the walk, so the record's entry is what a
-        lookup would find); any other group walks the memo alone,
-        solving on a miss.  Either way the record is dropped.  The
-        columnar slot path gathers the true channels itself and decodes
-        every aligned slot of a run in one
+        winner of a current record reads them from it, one hit; any
+        other group walks the memo alone, solving on a miss.  Either way
+        the record is dropped.  The columnar slot path gathers the true
+        channels itself and decodes every aligned slot of a run in one
         :func:`~repro.engine.batched.downlink_transmit_sinrs_cached` call
         (:func:`repro.sim.columnar.transmit_wave`).
         """
@@ -269,17 +265,24 @@ class BatchedGroupEvaluator:
         if len(group) != GROUP_SIZE:
             raise ValueError(f"group {group} does not have {GROUP_SIZE} clients")
         probe, self._probe = self._probe, None
-        entry = None
-        if probe is not None and probe.epoch is not None and (
-            probe.epoch == getattr(self.source, "version_epoch", None)
-        ):
-            entry = probe.entries.get(group)
+        entry = probe.entries.get(group) if self._current(probe) else None
         if entry is not None:
             self.hits += 1
         else:
             self.evaluate_many((group,))
             entry, self._probe = self._probe.entries[group], None
         return entry.encodings, entry.w_bel
+
+    def release(self) -> None:
+        """Drop the latest record: its slot transmits no aligned group."""
+        self._probe = None
+
+    def _current(self, probe: "Probe | None") -> bool:
+        """Whether ``probe`` was walked at the source's current
+        ``version_epoch`` (never, for a source without one)."""
+        return probe is not None and probe.epoch is not None and (
+            probe.epoch == getattr(self.source, "version_epoch", None)
+        )
 
     # -------------------------- mirror plumbing ----------------------- #
 

@@ -203,12 +203,18 @@ class LeaderAP:
         """Register a §8a sounding pass heard by all APs: ``soundings[i][j]``
         is ``ap_ids[j]``'s estimate of ``client_ids[i]``.
 
-        One check that the pass covers every AP; then, per client in
-        order, its record and estimates, and a version and epoch bump.
+        One check that the pass covers every AP with one estimate per
+        (client, AP); then, per client in order, its record and
+        estimates, and a version and epoch bump.  A pass that fails the
+        check registers nobody.
         """
         missing = set(self.ap_ids) - set(ap_ids)
         if missing:
             raise ValueError(f"association must carry estimates from all APs; missing {sorted(missing)}")
+        if len(soundings) != len(client_ids) or any(
+            len(heard) != len(ap_ids) for heard in soundings
+        ):
+            raise ValueError("a sounding pass needs one estimate per (client, AP)")
         versions = self._channel_versions
         for client_id, heard in zip(client_ids, soundings):
             self.table.associate(client_id).channels.update(

@@ -375,42 +375,32 @@ def _track_acks(flushes: Sequence[tuple]) -> None:
     quarantine bookkeeping included) in exact (ack, client, AP) order,
     the mirror write-back and ``update_bytes``.  Tracker-dict stores are
     deferred to :meth:`~repro.sim.events.CellStepper.finish`
-    (``stepper.tracked``).  A one-flush call (every wave of a one-cell
-    run) builds no pools.
+    (``stepper.tracked``).
     """
-    live = []
+    pools: Dict[tuple, list] = {}
     for flush in flushes:
-        stepper, active, rows, _ = flush
+        stepper, active, rows, ack_h = flush
         if not active:
             continue
+        sim = stepper.sim
+        T = stepper.T
         # Resync mirror rows invalidated by churn (fresh association state).
         if not stepper.T_valid[rows].all():
-            sim = stepper.sim
             for c, r in zip(active, rows):
                 if not stepper.T_valid[r].all():
                     for j, a in enumerate(sim.ap_ids):
-                        stepper.T[r, j] = sim.subordinates[a].channel_to(c)
+                        T[r, j] = sim.subordinates[a].channel_to(c)
                     stepper.T_valid[r] = True
-        live.append(flush)
-    if len(live) == 1:
-        cell_pools = [live]
-    else:
-        pools: Dict[tuple, list] = {}
-        for flush in live:
-            stepper, ack_h = flush[0], flush[3]
-            key = (len(ack_h), ack_h.shape[-1], stepper.alpha,
-                   stepper.drift_threshold)
-            pools.setdefault(key, []).append(flush)
-        cell_pools = pools.values()
-    for cells in cell_pools:
-        first = cells[0][0]
+        key = (len(ack_h), ack_h.shape[-1], stepper.alpha,
+               stepper.drift_threshold)
+        pools.setdefault(key, []).append(flush)
+    for (_, m, alpha, threshold), cells in pools.items():
         S, drifted = _drifts(
             [(stepper.T, rows) for stepper, _, rows, _ in cells],
             cells[0][3] if len(cells) == 1
             else np.concatenate([flush[3] for flush in cells], axis=1),
-            first.alpha, first.drift_threshold,
+            alpha, threshold,
         )
-        m = S.shape[-1]
         start = 0
         for stepper, active, rows, _ in cells:
             sim = stepper.sim
@@ -449,10 +439,9 @@ def _drifts(priors: List[tuple], ack_h: np.ndarray, alpha: float,
     columns of ``ack_h`` (``(K, P, M, M)``, scaled in place); each block
     is gathered straight into ``S[0]``.  Returns ``S``, ``(K+1, P, M,
     M)`` with the priors at ``S[0]`` and ack k's smoothed rows at
-    ``S[k+1]``, and the
-    ``(K, P)`` verdicts ``|S[k+1] - S[k]| / |S[k]| > threshold``.  The
-    recurrence is inherently sequential across acks, but everything
-    around it is not: one in-place scale covers all K acks (``alpha`` is
+    ``S[k+1]``, and the ``(K, P)`` verdicts
+    ``|S[k+1] - S[k]| / |S[k]| > threshold``.  The recurrence is
+    inherently sequential across acks, but everything around it is not: one in-place scale covers all K acks (``alpha`` is
     a scalar, so pre-scaling is elementwise-identical to scaling inside
     the loop), each ack is two ``out=`` ufunc calls, and all K verdicts
     go through one pinned-order :func:`frobenius_norms` call for the
@@ -575,12 +564,14 @@ def _resolve_slot(stepper, pending: _Pending) -> bool:
         sim.stats.fallback_slots += 1
         pending.served = (sim.queue.head().client_id,)
         pending.rates = sim._serve_head_alone(pending.served[0])
-        return False
-    pending.served = served
-    if len(served) < 3 or not stepper.fast_track:
+    else:
+        pending.served = served
+        if len(served) >= 3 and stepper.fast_track:
+            return True
         pending.rates = sim._transmit_group(served)
-        return False
-    return True
+    # The slot's probe record ends with the slot.
+    sim.evaluator.release()
+    return False
 
 
 # --------------------------------------------------------------------- #

@@ -539,9 +539,7 @@ def run_waves(steppers: Sequence[CellStepper]) -> list:
     A wave first tracks the waiting acks of every cell whose paused slot
     proposed, in one :func:`~repro.sim.columnar._track_acks` call, then
     pools the alignment solves of every paused cell into one
-    :func:`~repro.sim.columnar.solve_wave`.  A one-cell wave (every wave
-    of a standalone run) builds neither pool: it tracks its own acks,
-    and its slot's ``resolve`` solves its probe.  Then each paused slot
+    :func:`~repro.sim.columnar.solve_wave`.  Then each paused slot
     resolves its group, pools its rate-kernel input, is served
     (:meth:`CellStepper.serve`) and advances to its next pause.  The
     rates settle at the end of the run: each pool's kernel
@@ -568,16 +566,11 @@ def run_waves(steppers: Sequence[CellStepper]) -> list:
         # From here on a proposing slot reads the leader's drift reports
         # (the solve, ``resolve``, the quarantine check and the decode):
         # every such cell's waiting acks are tracked first, in one pass.
-        if len(paused) > 1:
-            _flush_wave([st for st, p in paused if p.proposal is not None])
-            solve_wave([
-                (st, p) for st, p in paused
-                if p.proposal is not None and p.proposal.groups
-            ])
-        elif paused[0][1].proposal is not None and paused[0][0].acks:
-            # A one-cell wave (every wave of a standalone run) pools
-            # nothing: its slot's ``resolve`` solves its own probe.
-            _track_acks([paused[0][0].take_acks()])
+        _flush_wave([st for st, p in paused if p.proposal is not None])
+        solve_wave([
+            (st, p) for st, p in paused
+            if p.proposal is not None and p.proposal.groups
+        ])
         resumed = []
         for st, p in paused:
             if p.client is not None:

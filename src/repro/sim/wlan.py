@@ -1030,6 +1030,8 @@ class WLANSimulation:
                         rates = self._serve_head_alone(served[0])
                     else:
                         rates = self._transmit_group(served)
+                    # The slot's probe record ends with the slot.
+                    self.evaluator.release()
             else:
                 if self._degraded and self.config.service == "iac":
                     # Post-crash permanent degradation (< 3 APs left):

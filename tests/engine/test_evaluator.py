@@ -159,6 +159,27 @@ class TestMemoisation:
         assert evaluator.cache_info()["misses"] == 2
         assert after != before  # new channels, new solution
 
+    def test_a_record_planned_before_a_drift_report_is_not_read(self):
+        """A driver's plan taken before the epoch moved is walked again:
+        the scoring reads the re-solved group, never the stale entry."""
+        from repro.mac.association import ChannelUpdate
+
+        leader = LeaderAP(ap_id=0, ap_ids=list(APS))
+        rng = np.random.default_rng(21)
+        leader.handle_associations(GROUP, APS, [
+            [rayleigh_channel(2, 2, rng) for _ in APS] for _ in GROUP
+        ])
+        evaluator = BatchedGroupEvaluator(leader, APS)
+        stale = evaluator.evaluate(GROUP)
+        evaluator.plan([GROUP])  # a hit on the entry about to go stale
+        leader.handle_update(
+            ChannelUpdate(ap_id=1, client_id=GROUP[1], h=rayleigh_channel(2, 2, rng))
+        )
+        rate = evaluator.evaluate_many([GROUP])[0]
+        assert rate != stale
+        assert rate == BatchedGroupEvaluator(leader, APS).evaluate(GROUP)
+        assert evaluator.cache_info() == {"hits": 1, "misses": 2, "entries": 1}
+
     def test_static_simulation_mostly_cache_hits(self):
         """With static channels the distinct-group space is finite, so
         misses are bounded while hits keep accruing every slot."""

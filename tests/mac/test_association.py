@@ -222,3 +222,17 @@ class TestSoundingPass:
                 [7, 8], [0, 1], [[rayleigh_channel(2, 2, rng)] * 2] * 2
             )
         assert len(leader.table) == 0 and leader.version_epoch == 0
+
+    @pytest.mark.parametrize("shape", ["short_row", "missing_client"])
+    def test_ragged_pass_registers_nobody(self, rng, shape):
+        """One estimate short anywhere in the pass fails it whole, before
+        any client is registered with a partial channel map."""
+        soundings = [[rayleigh_channel(2, 2, rng) for _ in range(3)] for _ in range(3)]
+        if shape == "short_row":
+            soundings[2] = soundings[2][:2]
+        else:
+            soundings = soundings[:2]
+        leader = LeaderAP(ap_id=0, ap_ids=[0, 1, 2])
+        with pytest.raises(ValueError, match=r"one estimate per \(client, AP\)"):
+            leader.handle_associations([7, 8, 9], [0, 1, 2], soundings)
+        assert len(leader.table) == 0 and leader.version_epoch == 0

@@ -85,6 +85,9 @@ class ScalarGroupEvaluator:
     def evaluate(self, group: Group) -> float:
         return self.evaluate_many([tuple(group)])[0]
 
+    def release(self) -> None:
+        """The end of a slot's probe: the oracle keeps no record to drop."""
+
     # ------------------------------------------------------------------ #
 
     def _believed(self, group: Group) -> List[ChannelSet]:

@@ -6,7 +6,8 @@ the memo in a wave's pooled solve and the ``reference`` engine in the
 selector's scoring call, and each counts once per candidate group of a
 probe plus once for the winner's transmit; this suite pins that the two
 counts agree on every case of the event-kernel grid and on saturated
-cells of every selector, static and slowly fading.
+cells of every selector, static and slowly fading.  A probe's record
+lives for its slot only: no slot is served with one still held.
 """
 
 import pytest
@@ -23,8 +24,17 @@ def _cache_info(cfg: WLANConfig, n_slots: int) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(EVENT_ALL_CASES))
-def test_grid_counters_equal_across_engines(name):
+def test_grid_counters_equal_across_engines(name, monkeypatch):
     overrides = EVENT_ALL_CASES[name]
+    serve = WLANSimulation._serve
+
+    def serve_without_a_record(sim, served, slot):
+        # Every slot path (aligned, fallback, short group, p2p) has let
+        # go of its probe record by the time its clients are served.
+        assert sim.evaluator._probe is None, slot
+        serve(sim, served, slot)
+
+    monkeypatch.setattr(WLANSimulation, "_serve", serve_without_a_record)
     fast = _cache_info(config(**overrides, engine="fast"), N_SLOTS)
     reference = _cache_info(config(**overrides, engine="reference"), N_SLOTS)
     assert fast == reference

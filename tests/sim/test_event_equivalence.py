@@ -699,24 +699,3 @@ def test_a_finished_run_frees_its_simulation_by_reference_count(
         assert [ref() for ref in refs] == [None] * cells
     finally:
         gc.enable()
-
-
-def test_a_one_cell_run_pools_nothing(monkeypatch):
-    """A standalone run's waves hold one cell: no pooled solve, and one
-    pooled tracking pass only at the run's end; each slot's ``resolve``
-    solves its own probe, with the same trajectory and counters."""
-    flushes = []
-    flush = events._flush_wave
-    monkeypatch.setattr(
-        events, "_flush_wave", lambda steppers: (flushes.append(1), flush(steppers))
-    )
-    monkeypatch.setattr(
-        events, "solve_wave", lambda paused: pytest.fail("pooled solve")
-    )
-    fast = WLANSimulation(config())
-    got = fast.run(N_SLOTS)
-    monkeypatch.undo()
-    assert flushes == [1]
-    reference = WLANSimulation(config(engine="reference"))
-    assert got.digest() == reference.run(N_SLOTS).digest()
-    assert fast.evaluator.cache_info() == reference.evaluator.cache_info()
